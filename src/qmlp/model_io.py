@@ -10,8 +10,9 @@ Layout (little-endian):
                    weight codes i8[out*in], bias codes i32[out], LUT i8[256]
 
 Any structural problem (bad magic, unknown version, truncation, trailing
-bytes, inconsistent exponents) raises FormatError with the byte offset; no
-partial model is ever returned.
+bytes, inconsistent exponents, a bias code outside the layer's int32
+accumulator bound) raises FormatError with the byte offset; no partial model
+is ever returned.
 """
 
 import struct
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .nn import FULL, QUANTIZED, DenseLayer, Model, QDenseLayer
+from .nn import FULL, QUANTIZED, DenseLayer, Model, QDenseLayer, bias_code_limit
 from .quant import EXPONENT_MAX, EXPONENT_MIN, ActivationLUT, QTensor, QuantParams
 
 MAGIC = b"DCV1"
@@ -140,7 +141,18 @@ def load_model(path):
                 )
             prev_act_exp = act_exp
             codes = r.array(np.int8, out_dim * in_dim, f"layer {i} weight codes")
+            at = r.offset
             biases = r.array("<i4", out_dim, f"layer {i} bias codes")
+            limit = bias_code_limit(in_dim)
+            bad = np.flatnonzero((biases < -limit) | (biases > limit))
+            if bad.size:
+                j = int(bad[0])
+                raise FormatError(
+                    f"layer {i} bias code {biases[j]} outside +-{limit}, the bound "
+                    f"that keeps the int32 accumulator of a {in_dim}-input layer "
+                    f"from overflowing",
+                    offset=at + 4 * j,
+                )
             table = r.array(np.int8, 256, f"layer {i} LUT")
             preact_params = QuantParams(preact_exp)
             act_params = QuantParams(act_exp)

@@ -23,6 +23,7 @@ from .quant import (
     ActivationLUT,
     QTensor,
     QuantParams,
+    _from_codes,
     apply_lut,
     build_lut,
     choose_exponent,
@@ -40,7 +41,19 @@ ARCHITECTURES = {
     "car_evaluation": (6, [(32, "tanh"), (16, "tanh"), (4, "sigmoid")]),
 }
 
-_INT32_MAX = np.int64(2**31 - 1)
+_INT32_MAX = 2**31 - 1
+# Largest |int8 weight code * int8 input code|: 128 * 128.
+_PRODUCT_MAX = 2**14
+
+
+def bias_code_limit(in_dim):
+    """Largest |bias code| a layer of this fan-in may carry.
+
+    The kernel pre-loads the bias into the int32 accumulator and then adds
+    in_dim products of magnitude at most 2**14 each, so |acc| <= 2**31 - 1
+    holds for every input whenever |bias| <= 2**31 - 1 - 2**14 * in_dim.
+    """
+    return _INT32_MAX - _PRODUCT_MAX * in_dim
 
 
 @dataclass
@@ -79,7 +92,11 @@ class QDenseLayer:
     """Quantized dense layer.
 
     Bias codes are 32-bit integers at exponent (in + weight), so they add
-    directly into the int32 accumulator without any per-sample shift.
+    directly into the int32 accumulator without any per-sample shift. Their
+    magnitude is bounded by ``bias_code_limit(in_dim)`` when the layer is
+    built, which proves the kernel's accumulator never leaves int32; the
+    kernel itself does not check it again. Code that assigns new bias codes
+    afterwards (the hybrid trainer) clamps them to the same limit.
     """
 
     weights_q: QTensor
@@ -91,11 +108,19 @@ class QDenseLayer:
     activation: str
 
     def __post_init__(self):
-        self.biases_q = np.asarray(self.biases_q, dtype=np.int32)
-        if self.weights_q.codes.ndim != 2 or self.biases_q.ndim != 1:
+        biases = np.asarray(self.biases_q)
+        if self.weights_q.codes.ndim != 2 or biases.ndim != 1:
             raise InvariantError("weight codes must be [out x in], biases [out]")
-        if self.weights_q.codes.shape[0] != self.biases_q.shape[0]:
+        if self.weights_q.codes.shape[0] != biases.shape[0]:
             raise InvariantError("weight rows and bias length differ")
+        limit = bias_code_limit(self.in_dim)
+        # min/max rather than abs: abs(int32 min) wraps to itself
+        if biases.size and (biases.min() < -limit or biases.max() > limit):
+            raise InvariantError(
+                f"bias code outside +-{limit}, the bound that keeps the int32 "
+                f"accumulator of a {self.in_dim}-input layer from overflowing"
+            )
+        self.biases_q = biases.astype(np.int32)
         if self.activation not in ACTIVATION_NAMES:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
         if self.lut.in_params != self.preact_params:
@@ -268,14 +293,13 @@ def linear_int8(x_q, layer):
         )
     if x_q.codes.shape != (layer.in_dim,):
         raise InvariantError("kernel input length does not match layer in_dim")
+    # |acc| <= 2**31 - 1: the layer's bias codes are bounded at construction
     acc = (
         layer.weights_q.codes.astype(np.int64) @ x_q.codes.astype(np.int64)
         + layer.biases_q
     )
-    # <= 2^7 * 2^7 * in_dim plus the bias code; never near int32 by construction
-    assert np.all(np.abs(acc) <= _INT32_MAX), "int8 kernel accumulator overflow"
     codes = requantize_shift(acc, layer.requantize_shift_amount)
-    return QTensor(codes, layer.preact_params)
+    return _from_codes(codes, layer.preact_params)
 
 
 def forward_int8(m, x_q):
@@ -308,7 +332,6 @@ def predict_int8(m, X):
     for layer in m.layers:
         acc = codes.astype(np.int64) @ layer.weights_q.codes.T.astype(np.int64)
         acc += layer.biases_q
-        assert np.all(np.abs(acc) <= _INT32_MAX), "int8 kernel accumulator overflow"
         z_codes = requantize_shift(acc, layer.requantize_shift_amount)
         codes = layer.lut.table[z_codes.astype(np.int16) + 128]
     return codes.astype(np.float32) * np.float32(m.layers[-1].act_params.step)
@@ -354,14 +377,13 @@ def quantize_model(m, calibration=None, math_mode="reference"):
         w_q = quantize(layer.weights, w_params)
         bias_step = 2.0 ** (in_params.exponent + w_params.exponent)
         b_q = np.round(layer.biases.astype(np.float64) / bias_step)
-        assert np.all(np.abs(b_q) <= _INT32_MAX), "bias codes exceed int32"
         preact_params = QuantParams(preact_exp)
         act_params = QuantParams(DEFAULT_ACTIVATION_EXPONENT)
         lut = build_lut(layer.activation, preact_params, act_params, math_mode)
         qlayers.append(
             QDenseLayer(
                 weights_q=w_q,
-                biases_q=b_q.astype(np.int32),
+                biases_q=b_q,
                 in_params=in_params,
                 preact_params=preact_params,
                 act_params=act_params,

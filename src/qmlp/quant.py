@@ -52,7 +52,11 @@ class QuantParams:
 
 @dataclass(frozen=True)
 class QTensor:
-    """Signed 8-bit code buffer plus its quantization parameters."""
+    """Signed 8-bit code buffer plus its quantization parameters.
+
+    The constructor range-checks and copies caller-supplied codes; codes the
+    library computes itself are wrapped by ``_from_codes`` instead.
+    """
 
     codes: np.ndarray
     params: QuantParams
@@ -70,6 +74,25 @@ class QTensor:
     @property
     def shape(self):
         return self.codes.shape
+
+
+def _from_codes(codes, params):
+    """Wrap int8 codes the library has just computed as a read-only QTensor.
+
+    ``codes`` must be a fresh int8 array (or a view of one the library owns)
+    with every entry already in range, so the public constructor's
+    validating copy is skipped; only the write flag is cleared.
+    """
+    codes.setflags(write=False)
+    t = object.__new__(QTensor)
+    object.__setattr__(t, "codes", codes)
+    object.__setattr__(t, "params", params)
+    return t
+
+
+def _clamp(arr, lo, hi):
+    """np.clip without its per-call wrapper cost: maximum, then minimum."""
+    return np.minimum(np.maximum(arr, lo), hi)
 
 
 @dataclass(frozen=True)
@@ -116,22 +139,22 @@ def quantize(values, params):
     if not np.all(np.isfinite(arr)):
         raise DataError("quantize requires finite values")
     r = _round_half_away(arr / params.step)
-    codes = np.clip(r, CODE_MIN, CODE_MAX).astype(np.int8)
-    return QTensor(codes, params)
+    return _from_codes(_clamp(r, CODE_MIN, CODE_MAX).astype(np.int8), params)
 
 
 def dequantize(t):
     """Recover real values from a QTensor: v = q * 2**e (exact in float32)."""
-    return t.codes.astype(np.float32) * np.float32(t.params.step)
+    return t.codes.astype(np.float32) * t.params.step
 
 
 def requantize_shift(acc, shift):
     """Rescale a 32-bit accumulator to an 8-bit code by a power-of-two shift.
 
     Equivalent to clamp(round_half_away(acc * 2**shift), -128, 127) in exact
-    arithmetic. Negative shift is a rounding arithmetic right shift (add
-    2**(-shift-1) to the magnitude before shifting); positive shift is a
-    saturating left shift.
+    arithmetic. Negative shift s = -shift is one floor shift,
+    (acc + 2**(s-1) - [acc < 0]) >> s: the -1 on negative accumulators turns
+    floor into the away-from-zero rounding of an exact tie. Positive shift is
+    a saturating left shift.
     """
     shift = int(shift)
     if not -31 <= shift <= 31:
@@ -140,11 +163,8 @@ def requantize_shift(acc, shift):
     if shift >= 0:
         val = arr << shift
     else:
-        s = -shift
-        half = np.int64(1) << (s - 1)
-        mag = (np.abs(arr) + half) >> s
-        val = np.where(arr >= 0, mag, -mag)
-    out = np.clip(val, CODE_MIN, CODE_MAX).astype(np.int8)
+        val = (arr - (arr < 0) + (1 << (-shift - 1))) >> -shift
+    out = _clamp(val, CODE_MIN, CODE_MAX).astype(np.int8)
     if np.ndim(acc) == 0:
         return int(out)
     return out
@@ -177,4 +197,4 @@ def apply_lut(t, lut):
             f"LUT e={lut.in_params.exponent}"
         )
     idx = t.codes.astype(np.int16) + 128
-    return QTensor(lut.table[idx], lut.out_params)
+    return _from_codes(lut.table[idx], lut.out_params)

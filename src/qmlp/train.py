@@ -19,10 +19,16 @@ import numpy as np
 
 from .errors import ConfigurationError, FormatError, InvariantError
 from .fastmath import MATH_MODES, _round_half_away, activation_deriv
-from .nn import FULL, QUANTIZED, forward_full, forward_int8, predict_full, predict_int8
-from .quant import CODE_MAX, CODE_MIN, QTensor, dequantize, quantize
-
-_I32 = np.iinfo(np.int32)
+from .nn import (
+    FULL,
+    QUANTIZED,
+    bias_code_limit,
+    forward_full,
+    forward_int8,
+    predict_full,
+    predict_int8,
+)
+from .quant import CODE_MAX, CODE_MIN, _clamp, _from_codes, dequantize, quantize
 
 
 class SaturationWarning(UserWarning):
@@ -204,18 +210,24 @@ class FeedbackState:
 
 
 def _requantize_params(w, b, layer, feedback, layer_idx):
-    """Round updated float parameters back into the layer's existing scales."""
+    """Round updated float parameters back into the layer's existing scales.
+
+    Weight codes saturate at the int8 range; bias codes saturate at the
+    layer's ``bias_code_limit``, which keeps the accumulator bound proven
+    when the layer was built.
+    """
     w_step = layer.weights_q.params.step
     b_step = 2.0 ** layer.bias_exponent
+    b_limit = bias_code_limit(layer.in_dim)
     if feedback is not None:
         w = w + feedback.weights[layer_idx]
         b = b + feedback.biases[layer_idx]
-    w_codes = np.clip(_round_half_away(w / w_step), CODE_MIN, CODE_MAX)
-    b_codes = np.clip(_round_half_away(b.astype(np.float64) / b_step), _I32.min, _I32.max)
+    w_codes = _clamp(_round_half_away(w / w_step), CODE_MIN, CODE_MAX)
+    b_codes = _clamp(_round_half_away(b.astype(np.float64) / b_step), -b_limit, b_limit)
     if feedback is not None:
         feedback.weights[layer_idx] = (w - w_codes * w_step).astype(np.float32)
         feedback.biases[layer_idx] = (b - b_codes * b_step).astype(np.float32)
-    layer.weights_q = QTensor(w_codes.astype(np.int8), layer.weights_q.params)
+    layer.weights_q = _from_codes(w_codes.astype(np.int8), layer.weights_q.params)
     layer.biases_q = b_codes.astype(np.int32)
 
 
@@ -245,7 +257,7 @@ def backward_hybrid(qtrace, target, m, lr, feedback=None):
         layer = m.layers[i]
         a_prev = dequantize(qtrace.acts[i - 1]) if i > 0 else dequantize(qtrace.x_q)
         w = dequantize(layer.weights_q)
-        b = layer.biases_q.astype(np.float32) * np.float32(2.0 ** layer.bias_exponent)
+        b = layer.biases_q.astype(np.float32) * 2.0 ** layer.bias_exponent
         peak_params = max(peak_params, w.size + b.size)
         if i > 0:
             deriv_prev = activation_deriv(m.layers[i - 1].activation)(a_prev)
@@ -253,7 +265,7 @@ def backward_hybrid(qtrace, target, m, lr, feedback=None):
             count += delta_below.size
         else:
             delta_below = None
-        w -= lr * np.outer(delta, a_prev)
+        w -= lr * (delta[:, None] * a_prev)
         b -= lr * delta
         _requantize_params(w, b, layer, feedback, i)
         del w, b
@@ -295,7 +307,7 @@ def finetune_quantized(m, data, cfg):
         correct = 0
         loss_sum = 0.0
         for idx in order:
-            xq = QTensor(x_codes[idx], in_params)
+            xq = _from_codes(x_codes[idx], in_params)
             qtrace = forward_int8(m, xq)
             out = qtrace.output.codes.astype(np.float32) * out_step
             t = train_ds.targets[idx]

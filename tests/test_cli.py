@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -7,6 +8,8 @@ import pytest
 
 from qmlp.cli import cli_main
 from qmlp.data import generate_car_surrogate
+from qmlp.model_io import save_model
+from qmlp.nn import build_model, quantize_model
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +207,58 @@ class TestErrorPaths:
         ], capsys)
         assert code == 3
         assert err.startswith("error[data]:")
+
+
+@pytest.fixture(scope="module")
+def bad_bias_model(tmp_path_factory):
+    """A quantized car_evaluation model file whose first bias code is 2**31 - 1.
+
+    The largest int32 overflows the kernel's accumulator once any input adds
+    to it; the file is well-formed in every other respect.
+    """
+    q = quantize_model(build_model("car_evaluation", 7))
+    path = tmp_path_factory.mktemp("bad_bias") / "q.bin"
+    save_model(q, path)
+    first = q.layers[0]
+    # magic, version, representation, layer count | layer headers
+    # | layer 0 exponents and weight codes
+    offset = 9 + 5 * len(q.layers) + 4 + first.out_dim * first.in_dim
+    data = bytearray(path.read_bytes())
+    data[offset : offset + 4] = struct.pack("<i", 2**31 - 1)
+    path.write_bytes(bytes(data))
+    return path, offset
+
+
+class TestOutOfBoundBiasCode:
+    @pytest.mark.parametrize("command", [
+        ["eval", "{model}", "--arch", "car_evaluation", "--dataset", "{data}"],
+        ["finetune", "{model}", "--arch", "car_evaluation", "--dataset", "{data}",
+         "--epochs", "1", "--out", "{out}"],
+    ])
+    def test_cli_exits_with_one_format_error_line(
+        self, command, bad_bias_model, car_file, tmp_path, capsys
+    ):
+        model, offset = bad_bias_model
+        out = tmp_path / "never.bin"
+        args = [a.format(model=model, data=car_file, out=out) for a in command]
+        code, _, err = run(args, capsys)
+        assert code == 3
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error[format]: layer 0 bias code 2147483647")
+        assert f"byte offset {offset})" in err
+        assert not out.exists()
+
+    def test_refused_without_asserts(self, bad_bias_model, car_file):
+        # python -O strips assert statements; the bound must still hold
+        model, _ = bad_bias_model
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "qmlp.cli", "eval", str(model),
+             "--arch", "car_evaluation", "--dataset", car_file],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error[format]:")
+        assert proc.stdout == ""
 
 
 class TestConsoleEntryPoint:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,26 @@ class TestFormatErrors:
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("code", [2**31 - 1, -(2**31)])
+    def test_bias_code_outside_accumulator_bound(self, quantized_model, tmp_path, code):
+        path = tmp_path / "q.bin"
+        save_model(quantized_model, path)
+        first, second = quantized_model.layers[:2]
+        # header | layer 0 block | layer 1 exponents and weight codes, then
+        # layer 1's second bias code
+        offset = (
+            9 + 5 * len(quantized_model.layers)
+            + 4 + first.out_dim * first.in_dim + 4 * first.out_dim + 256
+            + 4 + second.out_dim * second.in_dim + 4
+        )
+        data = bytearray(path.read_bytes())
+        data[offset : offset + 4] = struct.pack("<i", code)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError) as ei:
+            load_model(path)
+        assert ei.value.offset == offset
+        assert f"layer 1 bias code {code} outside" in str(ei.value)
 
     def test_magic_constant(self):
         assert MAGIC == b"DCV1"

@@ -3,6 +3,7 @@ import pytest
 
 from qmlp.errors import ConfigurationError, InvariantError
 from qmlp.nn import (
+    bias_code_limit,
     build_model,
     clone_model,
     dequantize_model,
@@ -213,6 +214,31 @@ class TestLinearInt8:
         layer = make_qlayer([[1]], [0], in_e=-7)
         with pytest.raises(InvariantError):
             linear_int8(QTensor(np.zeros(1, dtype=np.int8), QuantParams(-6)), layer)
+
+
+class TestBiasCodeBound:
+    def test_limit_leaves_room_for_every_product(self):
+        assert bias_code_limit(6) == 2**31 - 1 - 6 * 128 * 128
+
+    @pytest.mark.parametrize("in_dim", [1, 6, 40])
+    def test_limit_accepted_one_past_refused(self, in_dim):
+        limit = bias_code_limit(in_dim)
+        w = np.zeros((2, in_dim))
+        make_qlayer(w, [limit, -limit])
+        for bad in (limit + 1, -limit - 1):
+            with pytest.raises(InvariantError, match="bias code outside"):
+                make_qlayer(w, [0, bad])
+
+    def test_int32_min_refused(self):
+        # abs(int32 min) wraps to itself, so the check must not use abs
+        with pytest.raises(InvariantError):
+            make_qlayer(np.zeros((1, 2)), [-(2**31)])
+
+    def test_quantize_model_refuses_unrepresentable_bias(self):
+        m = build_model((2, [(1, "sigmoid")]), 0)
+        m.layers[0].biases[:] = 2.0**20  # 2**34 codes at the default 2**-14 step
+        with pytest.raises(InvariantError):
+            quantize_model(m)
 
 
 class TestForwardInt8:
