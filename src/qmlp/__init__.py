@@ -23,8 +23,6 @@ from .errors import (
     QmlpError,
 )
 from .fastmath import (
-    EXP_APPROX,
-    ExpApproxConstants,
     fast_exp,
     fast_power_of_two,
     fast_round,
@@ -36,10 +34,8 @@ from .fastmath import (
     tanh_ref,
 )
 from .metrics import (
-    BenchResult,
     MemoryReport,
     Metrics,
-    bench_per_sample,
     evaluate,
     memory_report,
 )
@@ -51,13 +47,12 @@ from .nn import (
     QDenseLayer,
     build_model,
     clone_model,
-    dequantize_model,
     forward_full,
     forward_int8,
     linear_int8,
-    param_count,
     predict_full,
     predict_int8,
+    predict_labels,
     quantize_model,
 )
 from .quant import (
@@ -79,7 +74,6 @@ from .train import (
     backward_lsgd,
     finetune_quantized,
     mse_loss,
-    predict_labels,
     read_curves_csv,
     train_full,
     write_curves_csv,

@@ -1,6 +1,6 @@
 """Command-line entry point tying the pipeline together.
 
-Subcommands: train, quantize, finetune, eval, report-memory, bench, curves.
+Subcommands: train, quantize, finetune, eval, report-memory, curves.
 Exit codes: 0 success, 2 usage/configuration error, 3 data or file-format
 error, 4 invariant violation. All errors go to stderr as one line with the
 prefix ``error[<category>]:``.
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import ConfigurationError, DataError, QmlpError
-from .metrics import bench_per_sample, evaluate, memory_report
+from .metrics import evaluate, memory_report
 from .model_io import load_model, save_model
 from .nn import ARCHITECTURES, FULL, QUANTIZED, build_model, quantize_model
 from .train import (
@@ -90,7 +90,7 @@ def _resolve_dataset(args):
     if args.arch == "car_evaluation":
         return data_mod.load_car_evaluation(path)
     if args.arch == "cogdist":
-        return data_mod.load_csv_generic(path, 6, "binary")
+        return data_mod.load_csv_generic(path, 6)
     raise ConfigurationError(
         "loading a dataset from a path needs --arch to pick the loader"
     )
@@ -257,26 +257,6 @@ def cmd_report_memory(args):
     return 0
 
 
-def cmd_bench(args):
-    train_ds, _ = _splits(args)
-    results = []
-    for path in args.models:
-        m = load_model(path)
-        res = bench_per_sample(m, train_ds, reps=args.reps)
-        results.append((path, m.representation, res))
-        print(
-            f"{path} ({m.representation}): {res.mean_s * 1e3:.4f} ms/sample "
-            f"+- {res.std_s * 1e3:.4f} (n={res.n_samples}, reps={res.reps})"
-        )
-    if len(results) == 2:
-        ratio = results[0][2].mean_s / results[1][2].mean_s
-        print(
-            f"host time ratio {results[0][0]} / {results[1][0]} = {ratio:.2f} "
-            "(informational only; host timing does not transfer to target hardware)"
-        )
-    return 0
-
-
 def _sparkline(values):
     lo, hi = min(values), max(values)
     span = (hi - lo) or 1.0
@@ -357,12 +337,6 @@ def build_parser():
     p.add_argument("--arch", choices=sorted(ARCHITECTURES))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_report_memory)
-
-    p = sub.add_parser("bench", help="per-sample training-step host timing (informational)")
-    p.add_argument("models", nargs="+", help="one or two model files")
-    _add_common(p)
-    p.add_argument("--reps", type=int, default=5)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("curves", help="re-emit a curve CSV, optionally with a sparkline")
     p.add_argument("curves_file")

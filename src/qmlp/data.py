@@ -89,13 +89,6 @@ def normalize_features(raw, lo, hi):
     return np.clip(out, -1.0, 1.0).astype(np.float32)
 
 
-def denormalize_features(normed, lo, hi):
-    """Inverse of normalize_features for non-clipped values."""
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    return np.asarray(normed, dtype=np.float64) * (hi - lo) / 2.0 + (lo + hi) / 2.0
-
-
 def _read_rows(path, has_header):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
@@ -150,26 +143,14 @@ def load_car_evaluation(path, has_header=False):
     return Dataset(normalize_features(ordinals, lo, hi), targets, CAR_CLASSES, lo, hi)
 
 
-def load_csv_generic(path, n_features, target_kind="binary", has_header=False):
-    """Load a numeric CSV with the target in the trailing column(s).
+def load_csv_generic(path, n_features, has_header=False):
+    """Load a numeric CSV: n_features columns, then one {0,1} target column.
 
-    ``target_kind`` is 'binary' (one trailing {0,1} column) or ('one_hot', c)
-    (c trailing one-hot columns). Features are left raw here; split() binds
-    min-max normalization statistics from the training rows only.
+    Features are left raw here; split() binds min-max normalization
+    statistics from the training rows only.
     """
-    if target_kind == "binary":
-        n_target = 1
-        class_names = ("negative", "positive")
-    elif isinstance(target_kind, tuple) and len(target_kind) == 2 and target_kind[0] == "one_hot":
-        n_target = int(target_kind[1])
-        if n_target < 2:
-            raise ConfigurationError("one_hot target needs at least 2 classes")
-        class_names = tuple(f"class{i}" for i in range(n_target))
-    else:
-        raise ConfigurationError(f"unknown target kind {target_kind!r}")
-
     rows = _read_rows(path, has_header)
-    n_cols = n_features + n_target
+    n_cols = n_features + 1
     values = np.empty((len(rows), n_cols), dtype=np.float64)
     for r, row in enumerate(rows):
         if len(row) != n_cols:
@@ -189,14 +170,9 @@ def load_csv_generic(path, n_features, target_kind="binary", has_header=False):
 
     features = values[:, :n_features]
     targets = values[:, n_features:].astype(np.float32)
-    if target_kind == "binary":
-        if not np.all(np.isin(targets, (0.0, 1.0))):
-            raise DataError(f"{path}: binary target column must contain only 0/1")
-    else:
-        ok = np.all(np.isin(targets, (0.0, 1.0))) and np.all(targets.sum(axis=1) == 1.0)
-        if not ok:
-            raise DataError(f"{path}: one-hot target columns must be 0/1 summing to 1")
-    return Dataset(features, targets, class_names)
+    if not np.all(np.isin(targets, (0.0, 1.0))):
+        raise DataError(f"{path}: binary target column must contain only 0/1")
+    return Dataset(features, targets, ("negative", "positive"))
 
 
 def synth_cogdist(seed):
@@ -273,8 +249,8 @@ def generate_car_surrogate(path):
     return path
 
 
-def split(ds, train_fraction=0.8, seed=0, stratified=True):
-    """Deterministic train/validation split; stratified by default.
+def split(ds, train_fraction=0.8, seed=0):
+    """Deterministic stratified train/validation split.
 
     Per class, floor(train_fraction * n) samples go to train and the
     remainder to validation. Selected indices keep their original file
@@ -289,33 +265,25 @@ def split(ds, train_fraction=0.8, seed=0, stratified=True):
     rng = np.random.default_rng(seed)
     labels = ds.labels()
 
-    if stratified:
-        train_idx, val_idx = [], []
-        for cls in range(ds.n_classes):
-            members = np.flatnonzero(labels == cls)
-            if len(members) < 2:
-                raise ConfigurationError(
-                    f"class {cls} has {len(members)} samples; "
-                    "stratified split needs at least 2 per class"
-                )
-            members = members[rng.permutation(len(members))]
-            take = int(np.floor(train_fraction * len(members)))
-            if take == 0 or take == len(members):
-                raise ConfigurationError(
-                    f"train fraction {train_fraction} empties one side of "
-                    f"class {cls} ({len(members)} samples)"
-                )
-            train_idx.append(members[:take])
-            val_idx.append(members[take:])
-        train_idx = np.sort(np.concatenate(train_idx))
-        val_idx = np.sort(np.concatenate(val_idx))
-    else:
-        order = rng.permutation(ds.n)
-        take = int(np.floor(train_fraction * ds.n))
-        if take == 0 or take == ds.n:
-            raise ConfigurationError("train fraction empties one split")
-        train_idx = np.sort(order[:take])
-        val_idx = np.sort(order[take:])
+    train_idx, val_idx = [], []
+    for cls in range(ds.n_classes):
+        members = np.flatnonzero(labels == cls)
+        if len(members) < 2:
+            raise ConfigurationError(
+                f"class {cls} has {len(members)} samples; "
+                "stratified split needs at least 2 per class"
+            )
+        members = members[rng.permutation(len(members))]
+        take = int(np.floor(train_fraction * len(members)))
+        if take == 0 or take == len(members):
+            raise ConfigurationError(
+                f"train fraction {train_fraction} empties one side of "
+                f"class {cls} ({len(members)} samples)"
+            )
+        train_idx.append(members[:take])
+        val_idx.append(members[take:])
+    train_idx = np.sort(np.concatenate(train_idx))
+    val_idx = np.sort(np.concatenate(val_idx))
 
     if ds.norm_lo is None:
         raw_train = ds.features[train_idx].astype(np.float64)

@@ -5,39 +5,13 @@ All functions accept scalars or numpy arrays and are pure; safe to call
 concurrently.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError
 
 _F32_ONE_BITS = 127 << 23  # exponent-field bias of float32 1.0
-
-
-@dataclass(frozen=True)
-class ExpApproxConstants:
-    """Constants for the bit-pattern exponential approximation.
-
-    ``slope`` maps the natural-exp argument onto the float32 exponent field
-    (2^23 / ln 2); ``offset`` is the bit pattern of 1.0. ``correction`` is an
-    optional integer added to the assembled bit pattern to re-center the
-    approximation error; 0 keeps fast_exp(0) == 1.0 bit-exact.
-    """
-
-    slope: float = float(1 << 23) / np.log(2.0)
-    offset: int = _F32_ONE_BITS
-    correction: int = 0
-
-    def __post_init__(self):
-        if self.slope <= 0:
-            raise ConfigurationError("exp approximation slope must be positive")
-        if np.int32(self.offset).view(np.float32) != np.float32(1.0):
-            raise ConfigurationError(
-                "exp approximation offset must reinterpret to float32 1.0"
-            )
-
-
-EXP_APPROX = ExpApproxConstants()
+# Maps the natural-exp argument onto the float32 exponent field: 2^23 / ln 2.
+_EXP_SLOPE = float(1 << 23) / np.log(2.0)
 
 # fast_exp input clamp; beyond this the assembled bit pattern would leave the
 # finite float32 range.
@@ -71,18 +45,17 @@ def fast_power_of_two(k):
     return 1 << k
 
 
-def fast_exp(x, constants=EXP_APPROX):
+def fast_exp(x):
     """Approximate e**x by assembling a float32 bit pattern.
 
-    round(slope*x) + offset is interpreted as the bits of a float32: the
+    round(slope*x) + bits(1.0) is interpreted as the bits of a float32: the
     integer part of slope*x lands in the exponent field and the remainder
     linearly interpolates the mantissa. Inputs are clamped to (-87, 88) to
-    keep the pattern inside the finite range. fast_exp(0) == 1.0 exactly
-    (with the default zero correction).
+    keep the pattern inside the finite range. fast_exp(0) == 1.0 exactly.
     """
     arr = np.clip(np.asarray(x, dtype=np.float64), _EXP_X_MIN, _EXP_X_MAX)
-    scaled = _round_half_away(arr * constants.slope).astype(np.int64)
-    bits = (scaled + constants.offset + constants.correction).astype(np.int32)
+    scaled = _round_half_away(arr * _EXP_SLOPE).astype(np.int64)
+    bits = (scaled + _F32_ONE_BITS).astype(np.int32)
     out = bits.view(np.float32)
     if np.ndim(x) == 0:
         return np.float32(out[()])

@@ -1,26 +1,15 @@
-"""Classification metrics, memory-footprint accounting, and host timing.
+"""Classification metrics and memory-footprint accounting.
 
 Multi-class scores are macro-averaged (unweighted mean of per-class
-precision/recall/F1); binary scores come from the positive class. Host
-timing is informational only: it characterizes this machine, not any
-target hardware.
+precision/recall/F1); binary scores come from the positive class.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, InvariantError
-from .nn import FULL, QUANTIZED, clone_model, forward_full, forward_int8, predict_full, predict_int8
-from .quant import QTensor, quantize
-from .train import (
-    DEFAULT_FINETUNE_LR,
-    DEFAULT_FLOAT_LR,
-    backward_hybrid,
-    backward_lsgd,
-    predict_labels,
-)
+from .nn import FULL, predict_full, predict_int8, predict_labels
 
 
 @dataclass(frozen=True)
@@ -139,56 +128,4 @@ def memory_report(full_m, q_m):
         q_excl,
         full_bytes / q_bytes,
         full_bytes / q_excl,
-    )
-
-
-@dataclass(frozen=True)
-class BenchResult:
-    """Host wall-time per training step (forward + backward), per sample."""
-
-    mean_s: float
-    std_s: float
-    n_samples: int
-    reps: int
-    per_rep_s: tuple
-
-
-def bench_per_sample(m, ds, reps=5, learning_rate=None):
-    """Time per-sample training steps over the dataset, after one warmup pass.
-
-    Each rep runs a fresh clone of the model through one full pass so every
-    rep does identical work. Informational only; no pass/fail judgment.
-    """
-    if reps < 1:
-        raise ConfigurationError("bench needs reps >= 1")
-    if ds.n == 0:
-        raise ConfigurationError("cannot bench an empty split")
-    quantized = m.representation == QUANTIZED
-    if learning_rate is None:
-        learning_rate = DEFAULT_FINETUNE_LR if quantized else DEFAULT_FLOAT_LR
-
-    def one_pass():
-        clone = clone_model(m)
-        if quantized:
-            in_params = clone.layers[0].in_params
-            codes = quantize(ds.features, in_params).codes
-            start = time.perf_counter()
-            for i in range(ds.n):
-                qtrace = forward_int8(clone, QTensor(codes[i], in_params))
-                backward_hybrid(qtrace, ds.targets[i], clone, learning_rate)
-            return time.perf_counter() - start
-        start = time.perf_counter()
-        for i in range(ds.n):
-            trace = forward_full(clone, ds.features[i])
-            backward_lsgd(trace, ds.targets[i], clone, learning_rate)
-        return time.perf_counter() - start
-
-    one_pass()  # warmup
-    per_sample = np.array([one_pass() / ds.n for _ in range(reps)])
-    return BenchResult(
-        float(per_sample.mean()),
-        float(per_sample.std()),
-        ds.n,
-        reps,
-        tuple(float(v) for v in per_sample),
     )

@@ -10,9 +10,9 @@ Layout (little-endian):
                    weight codes i8[out*in], bias codes i32[out], LUT i8[256]
 
 Any structural problem (bad magic, unknown version, truncation, trailing
-bytes, inconsistent exponents, a bias code outside the layer's int32
-accumulator bound) raises FormatError with the byte offset; no partial model
-is ever returned.
+bytes, a non-finite float parameter, inconsistent exponents, a bias code
+outside the layer's int32 accumulator bound) raises FormatError with the
+byte offset; no partial model is ever returned.
 """
 
 import struct
@@ -124,9 +124,16 @@ def load_model(path):
     prev_act_exp = None
     for i, (in_dim, out_dim, act) in enumerate(headers):
         if representation == FULL:
-            w = r.array("<f4", out_dim * in_dim, f"layer {i} weights").reshape(out_dim, in_dim)
+            at = r.offset
+            w = r.array("<f4", out_dim * in_dim, f"layer {i} weights")
             b = r.array("<f4", out_dim, f"layer {i} biases")
-            layers.append(DenseLayer(w, b, act))
+            # weights, then biases, are contiguous: value j starts at byte at + 4 * j
+            bad = np.flatnonzero(~np.isfinite(np.concatenate([w, b])))
+            if bad.size:
+                j = int(bad[0])
+                what = "weight" if j < w.size else "bias"
+                raise FormatError(f"layer {i} {what} is not finite", offset=at + 4 * j)
+            layers.append(DenseLayer(w.reshape(out_dim, in_dim), b, act))
         else:
             at = r.offset
             w_exp, in_exp, preact_exp, act_exp = r.unpack("<bbbb", f"layer {i} exponents")

@@ -27,7 +27,6 @@ from .quant import (
     apply_lut,
     build_lut,
     choose_exponent,
-    dequantize,
     quantize,
     requantize_shift,
 )
@@ -182,11 +181,6 @@ class Model:
         return self.layers[-1].out_dim
 
 
-def param_count(m):
-    """Total number of weights and biases."""
-    return sum(l.in_dim * l.out_dim + l.out_dim for l in m.layers)
-
-
 def _resolve_arch(spec):
     if isinstance(spec, str):
         try:
@@ -269,6 +263,8 @@ def forward_full(m, x, math_mode="reference"):
 
 def predict_full(m, X, math_mode="reference"):
     """Batched forward pass returning final outputs only, [n x output_dim]."""
+    if m.representation != FULL:
+        raise InvariantError("predict_full requires a full-precision model")
     A = np.asarray(X, dtype=np.float32)
     if A.ndim != 2 or A.shape[1] != m.input_dim:
         raise InvariantError(f"batch shape {A.shape} does not match input_dim")
@@ -335,6 +331,15 @@ def predict_int8(m, X):
         z_codes = requantize_shift(acc, layer.requantize_shift_amount)
         codes = layer.lut.table[z_codes.astype(np.int16) + 128]
     return codes.astype(np.float32) * np.float32(m.layers[-1].act_params.step)
+
+
+def predict_labels(outputs):
+    """Decision rule: threshold 0.5 for a single sigmoid output, else argmax
+    (ties broken by lowest index)."""
+    arr = np.atleast_2d(np.asarray(outputs))
+    if arr.shape[1] == 1:
+        return (arr[:, 0] >= 0.5).astype(np.int64)
+    return np.argmax(arr, axis=1)
 
 
 def _exponent_for_max(max_abs):
@@ -418,15 +423,3 @@ def clone_model(m):
             for l in m.layers
         ]
     return Model(layers, m.input_dim, m.representation, pretrained=m.pretrained)
-
-
-def dequantize_model(m):
-    """Expand a quantized model to a full-precision one (debug/analysis aid)."""
-    if m.representation != QUANTIZED:
-        raise InvariantError("dequantize_model requires a quantized model")
-    layers = []
-    for ql in m.layers:
-        w = dequantize(ql.weights_q)
-        b = ql.biases_q.astype(np.float32) * np.float32(2.0 ** ql.bias_exponent)
-        layers.append(DenseLayer(w, b, ql.activation))
-    return Model(layers, m.input_dim, FULL, pretrained=m.pretrained)

@@ -27,6 +27,7 @@ from .nn import (
     forward_int8,
     predict_full,
     predict_int8,
+    predict_labels,
 )
 from .quant import CODE_MAX, CODE_MIN, _clamp, _from_codes, dequantize, quantize
 
@@ -76,15 +77,6 @@ DEFAULT_FLOAT_LR = 0.01
 # Fine-tuning default is larger so typical updates clear the weight
 # quantization step instead of being absorbed by requantization.
 DEFAULT_FINETUNE_LR = 0.05
-
-
-def predict_labels(outputs):
-    """Decision rule: threshold 0.5 for a single sigmoid output, else argmax
-    (ties broken by lowest index)."""
-    arr = np.atleast_2d(np.asarray(outputs))
-    if arr.shape[1] == 1:
-        return (arr[:, 0] >= 0.5).astype(np.int64)
-    return np.argmax(arr, axis=1)
 
 
 def mse_loss(output, target):

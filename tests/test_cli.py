@@ -142,19 +142,6 @@ class TestReportMemoryBenchCurves:
         assert code == 0
         assert "3.36x" in out
 
-    def test_bench_two_models(self, trained, tmp_path, car_file, capsys):
-        model, _ = trained
-        qfile = tmp_path / "q.bin"
-        assert cli_main(["quantize", str(model), "--out", str(qfile)]) == 0
-        capsys.readouterr()
-        code, out, _ = run([
-            "bench", str(model), str(qfile), "--arch", "car_evaluation",
-            "--dataset", car_file, "--seed", "7", "--reps", "1", "--split", "0.1",
-        ], capsys)
-        assert code == 0
-        assert "ms/sample" in out
-        assert "informational" in out
-
     def test_curves_reemit_and_sparkline(self, trained, tmp_path, capsys):
         _, curves = trained
         out_path = tmp_path / "re.csv"
@@ -259,6 +246,25 @@ class TestOutOfBoundBiasCode:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error[format]:")
         assert proc.stdout == ""
+
+
+class TestNonFiniteFloatParameter:
+    def test_eval_exits_with_one_format_error_line(self, car_file, tmp_path, capsys):
+        path = tmp_path / "m.bin"
+        save_model(build_model("car_evaluation", 7), path)
+        # magic, version, representation, layer count | three layer headers
+        offset = 9 + 5 * 3
+        data = bytearray(path.read_bytes())
+        data[offset : offset + 4] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(data))
+        code, out, err = run(
+            ["eval", str(path), "--arch", "car_evaluation", "--dataset", car_file], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            f"error[format]: layer 0 weight is not finite (at byte offset {offset})"
+        ]
 
 
 class TestConsoleEntryPoint:

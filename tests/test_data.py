@@ -3,7 +3,6 @@ import pytest
 
 from qmlp.data import (
     Dataset,
-    denormalize_features,
     generate_car_surrogate,
     load_car_evaluation,
     load_csv_generic,
@@ -85,27 +84,16 @@ class TestLoadCsvGeneric:
             tmp_path / "g.csv",
             "1.0,2.0,0\n3.0,4.0,1\n-1.0,0.0,1\n2.0,-2.0,0\n",
         )
-        ds = load_csv_generic(p, 2, "binary")
+        ds = load_csv_generic(p, 2)
         np.testing.assert_array_equal(
             ds.features, [[1, 2], [3, 4], [-1, 0], [2, -2]]
         )
         np.testing.assert_array_equal(ds.targets[:, 0], [0, 1, 1, 0])
         assert ds.norm_lo is None  # stats pending until split
 
-    def test_one_hot_targets(self, tmp_path):
-        p = write(tmp_path / "g.csv", "1,2,1,0,0\n3,4,0,1,0\n5,6,0,0,1\n")
-        ds = load_csv_generic(p, 2, ("one_hot", 3))
-        assert ds.n_outputs == 3
-        np.testing.assert_array_equal(ds.targets.sum(axis=1), [1, 1, 1])
-
-    def test_bad_one_hot_rejected(self, tmp_path):
-        p = write(tmp_path / "g.csv", "1,2,1,1,0\n")
-        with pytest.raises(DataError):
-            load_csv_generic(p, 2, ("one_hot", 3))
-
     def test_constant_column_normalizes_to_zero(self, tmp_path):
         p = write(tmp_path / "g.csv", "".join(f"5.0,{i}.0,{i % 2}\n" for i in range(10)))
-        ds = load_csv_generic(p, 2, "binary")
+        ds = load_csv_generic(p, 2)
         train, val = split(ds, 0.8, seed=0)
         assert np.all(train.features[:, 0] == 0.0)
         assert np.all(val.features[:, 0] == 0.0)
@@ -113,21 +101,21 @@ class TestLoadCsvGeneric:
     def test_wrong_feature_count(self, tmp_path):
         p = write(tmp_path / "g.csv", "1,2,3,0\n")
         with pytest.raises(FormatError):
-            load_csv_generic(p, 2, "binary")
+            load_csv_generic(p, 2)
 
     def test_non_numeric_cell_located(self, tmp_path):
         p = write(tmp_path / "g.csv", "1,2,0\n1,x,1\n")
         with pytest.raises(DataError, match=r"row 2, column 2"):
-            load_csv_generic(p, 2, "binary")
+            load_csv_generic(p, 2)
 
     def test_binary_target_values_checked(self, tmp_path):
         p = write(tmp_path / "g.csv", "1,2,0.5\n")
         with pytest.raises(DataError):
-            load_csv_generic(p, 2, "binary")
+            load_csv_generic(p, 2)
 
     def test_header_flag(self, tmp_path):
         p = write(tmp_path / "g.csv", "a,b,y\n1,2,0\n3,4,1\n")
-        ds = load_csv_generic(p, 2, "binary", has_header=True)
+        ds = load_csv_generic(p, 2, has_header=True)
         assert ds.n == 2
 
 
@@ -204,42 +192,40 @@ class TestSplit:
             with pytest.raises(ConfigurationError):
                 split(car_dataset, frac, seed=0)
 
-    def test_unstratified(self):
-        ds = self._dataset_with_counts([30, 30])
-        train, val = split(ds, 0.5, seed=2, stratified=False)
-        assert train.n == 30 and val.n == 30
-
     def test_train_only_statistics_and_clipping(self, tmp_path):
         # adversarial validation outliers must clip, not stretch the range
         lines = [f"{v},0\n" for v in np.linspace(0, 10, 20)]
         p = tmp_path / "g.csv"
         p.write_text("".join(f"{v:.3f},{i % 2}\n" for i, v in enumerate(np.linspace(0, 10, 40))))
-        ds = load_csv_generic(p, 1, "binary")
+        ds = load_csv_generic(p, 1)
         # plant an outlier and force it into validation by seed search
         raw = ds.features.copy()
         raw[-1, 0] = 1000.0
         ds2 = Dataset(raw, ds.targets, ds.class_names)
         for seed in range(50):
             train, val = split(ds2, 0.8, seed=seed)
-            hi = denormalize_features(np.ones(1), train.norm_lo, train.norm_hi)[0]
-            if hi < 1000.0:  # outlier not in train split
+            if train.norm_hi[0] < 1000.0:  # outlier not in train split
                 assert val.features.max() == 1.0  # clipped, not rescaled
                 assert train.features.max() <= 1.0
                 break
         else:
             pytest.fail("outlier landed in train for all seeds")
 
-    def test_normalization_invertible(self, tmp_path):
+    def test_split_normalizes_by_training_range(self, tmp_path):
         p = tmp_path / "g.csv"
         rng = np.random.default_rng(4)
         raw = rng.uniform(-3, 9, size=(50, 2))
         p.write_text("".join(f"{a},{b},{i % 2}\n" for i, (a, b) in enumerate(raw)))
-        ds = load_csv_generic(p, 2, "binary")
-        train, _ = split(ds, 0.8, seed=0)
-        back = denormalize_features(train.features, train.norm_lo, train.norm_hi)
-        orig = denormalize_features(
-            normalize_features(back, train.norm_lo, train.norm_hi),
-            train.norm_lo,
-            train.norm_hi,
-        )
-        assert np.max(np.abs(back - orig)) <= 1e-6
+        ds = load_csv_generic(p, 2)
+        train, val = split(ds, 0.8, seed=0)
+        # split keeps file order, so each side is a subsequence of the rows;
+        # the raw values are distinct, which identifies the training rows
+        lo, hi = train.norm_lo, train.norm_hi
+        scaled = normalize_features(ds.features, lo, hi)
+        in_train = (scaled[:, None, :] == train.features[None, :, :]).all(axis=2).any(axis=1)
+        assert in_train.sum() == train.n
+        raw_train = ds.features[in_train].astype(np.float64)
+        np.testing.assert_array_equal(lo, raw_train.min(axis=0))
+        np.testing.assert_array_equal(hi, raw_train.max(axis=0))
+        np.testing.assert_array_equal(train.features, scaled[in_train])
+        np.testing.assert_array_equal(val.features, scaled[~in_train])

@@ -3,8 +3,6 @@ import pytest
 
 from qmlp.errors import ConfigurationError
 from qmlp.fastmath import (
-    EXP_APPROX,
-    ExpApproxConstants,
     activation_deriv,
     activation_fn,
     fast_exp,
@@ -88,19 +86,6 @@ class TestFastExp:
         assert np.isfinite(fast_exp(-1000.0))
         assert fast_exp(1000.0) == fast_exp(88.0)
         assert fast_exp(-1000.0) == fast_exp(-87.0)
-
-    def test_constants_invariants(self):
-        assert np.int32(EXP_APPROX.offset).view(np.float32) == np.float32(1.0)
-        assert EXP_APPROX.slope > 0
-        with pytest.raises(ConfigurationError):
-            ExpApproxConstants(slope=-1.0)
-        with pytest.raises(ConfigurationError):
-            ExpApproxConstants(offset=123)
-
-    def test_correction_shifts_output(self):
-        # a correction constant re-centers the curve; 0 keeps exactness at 0
-        shifted = ExpApproxConstants(correction=-50000)
-        assert fast_exp(0.0, shifted) != np.float32(1.0)
 
 
 class TestActivations:

@@ -4,7 +4,6 @@ import pytest
 from qmlp.data import Dataset
 from qmlp.errors import ConfigurationError, InvariantError
 from qmlp.metrics import (
-    bench_per_sample,
     confusion_matrix,
     evaluate,
     memory_report,
@@ -139,39 +138,3 @@ class TestMemoryReport:
         assert model_bytes(m) == 4 * 820
         q = quantize_model(m)
         assert model_bytes(q, include_luts=False) == 820 - 52 + 4 * 52
-
-
-class TestBench:
-    def _tiny(self):
-        rng = np.random.default_rng(0)
-        X = rng.uniform(-1, 1, size=(16, 6)).astype(np.float32)
-        t = np.zeros((16, 4), dtype=np.float32)
-        t[np.arange(16), rng.integers(0, 4, 16)] = 1.0
-        return Dataset(X, t, ("a", "b", "c", "d"), -np.ones(6), np.ones(6))
-
-    def test_single_rep_positive_duration(self):
-        res = bench_per_sample(build_model("car_evaluation", 0), self._tiny(), reps=1)
-        assert res.reps == 1
-        assert len(res.per_rep_s) == 1
-        assert res.mean_s > 0 and np.isfinite(res.mean_s)
-
-    def test_mean_within_observed_range(self):
-        res = bench_per_sample(build_model("car_evaluation", 0), self._tiny(), reps=4)
-        assert min(res.per_rep_s) <= res.mean_s <= max(res.per_rep_s)
-        assert res.n_samples == 16
-
-    def test_quantized_model_benchable(self):
-        q = quantize_model(build_model("car_evaluation", 0))
-        res = bench_per_sample(q, self._tiny(), reps=2)
-        assert res.mean_s > 0
-
-    def test_does_not_mutate_model(self):
-        m = build_model("car_evaluation", 0)
-        before = [l.weights.copy() for l in m.layers]
-        bench_per_sample(m, self._tiny(), reps=1)
-        for w0, l in zip(before, m.layers):
-            np.testing.assert_array_equal(w0, l.weights)
-
-    def test_reps_validated(self):
-        with pytest.raises(ConfigurationError):
-            bench_per_sample(build_model("car_evaluation", 0), self._tiny(), reps=0)

@@ -134,5 +134,22 @@ class TestFormatErrors:
         assert ei.value.offset == offset
         assert f"layer 1 bias code {code} outside" in str(ei.value)
 
+    @pytest.mark.parametrize("where, value", [("weight", float("nan")), ("bias", float("-inf"))])
+    def test_non_finite_float_parameter(self, full_model, tmp_path, value, where):
+        path = tmp_path / "m.bin"
+        save_model(full_model, path)
+        first = full_model.layers[0]
+        # header | layer 0 weights, then layer 0's second bias
+        offset = 9 + 5 * len(full_model.layers)
+        if where == "bias":
+            offset += 4 * (first.out_dim * first.in_dim + 1)
+        data = bytearray(path.read_bytes())
+        data[offset : offset + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError) as ei:
+            load_model(path)
+        assert ei.value.offset == offset
+        assert f"layer 0 {where} is not finite" in str(ei.value)
+
     def test_magic_constant(self):
         assert MAGIC == b"DCV1"

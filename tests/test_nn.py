@@ -6,11 +6,9 @@ from qmlp.nn import (
     bias_code_limit,
     build_model,
     clone_model,
-    dequantize_model,
     forward_full,
     forward_int8,
     linear_int8,
-    param_count,
     predict_full,
     predict_int8,
     quantize_model,
@@ -60,11 +58,6 @@ def make_qlayer(w_codes, bias_codes, in_e=-7, w_e=-7, preact_e=-7, act="tanh"):
 
 
 class TestBuildModel:
-    def test_parameter_counts(self):
-        # reference dims: 6-40-32-1 and 6-32-16-4
-        assert param_count(build_model("cogdist", 0)) == 6 * 40 + 40 + 40 * 32 + 32 + 32 * 1 + 1 == 1625
-        assert param_count(build_model("car_evaluation", 0)) == 6 * 32 + 32 + 32 * 16 + 16 + 16 * 4 + 4 == 820
-
     def test_layer_dims(self):
         m = build_model("cogdist", 0)
         assert [(l.in_dim, l.out_dim, l.activation) for l in m.layers] == [
@@ -288,6 +281,11 @@ class TestForwardInt8:
         with pytest.raises(InvariantError):
             forward_int8(m, QTensor(np.zeros(6, dtype=np.int8), QuantParams(-7)))
 
+    def test_predict_full_wrong_representation(self):
+        q = quantize_model(build_model("cogdist", 0))
+        with pytest.raises(InvariantError):
+            predict_full(q, np.zeros((2, 6), dtype=np.float32))
+
 
 class TestQuantizeModel:
     def test_zero_model(self):
@@ -345,11 +343,3 @@ class TestCloneAndDequantizeModel:
         c = clone_model(m)
         c.layers[0].weights[0, 0] += 1.0
         assert m.layers[0].weights[0, 0] != c.layers[0].weights[0, 0]
-
-    def test_dequantize_model_round_trip(self):
-        m = build_model("car_evaluation", 4)
-        q = quantize_model(m)
-        back = dequantize_model(q)
-        for l, bl in zip(m.layers, back.layers):
-            step = np.max(np.abs(l.weights)) / 64  # at most 2 * chosen step
-            assert np.max(np.abs(l.weights - bl.weights)) <= step
