@@ -24,6 +24,7 @@ from .quant import (
     QTensor,
     QuantParams,
     _from_codes,
+    _lut_gather,
     apply_lut,
     build_lut,
     choose_exponent,
@@ -274,11 +275,29 @@ def predict_full(m, X, math_mode="reference"):
     return A
 
 
+def _int8_kernel(codes, layer):
+    """The int8 kernel on input codes [in] or [n x in]: pre-activation codes.
+
+    The products are summed by float64 BLAS, which is exact here: each
+    product is an integer of magnitude at most 2**14, so every partial sum
+    is an integer below 2**14 * in_dim < 2**31 < 2**53 (``bias_code_limit``
+    is non-negative for every layer that exists), whatever order or fused
+    multiply-add the BLAS uses. The integer sum then joins the pre-loaded
+    bias codes in an int64 accumulator, bounded by 2**31 - 1 as
+    ``bias_code_limit`` proves, and is requantized to the pre-activation
+    scale.
+    """
+    w = layer.weights_q.codes.astype(np.float64)
+    acc = (codes.astype(np.float64) @ w.T).astype(np.int64)
+    acc += layer.biases_q
+    return requantize_shift(acc, layer.requantize_shift_amount)
+
+
 def linear_int8(x_q, layer):
     """Int8 fully-connected kernel producing pre-activation codes.
 
-    Per output neuron: start the int32 accumulator from the pre-shifted bias
-    code, accumulate the int8 dot product, then requantize (rounding shift +
+    Per output neuron: the int8 dot product plus the pre-shifted bias code,
+    an accumulator that stays inside int32, requantized (rounding shift +
     clamp) down to the pre-activation scale. The out_dim == 1 case runs the
     same path as multi-output layers.
     """
@@ -289,13 +308,7 @@ def linear_int8(x_q, layer):
         )
     if x_q.codes.shape != (layer.in_dim,):
         raise InvariantError("kernel input length does not match layer in_dim")
-    # |acc| <= 2**31 - 1: the layer's bias codes are bounded at construction
-    acc = (
-        layer.weights_q.codes.astype(np.int64) @ x_q.codes.astype(np.int64)
-        + layer.biases_q
-    )
-    codes = requantize_shift(acc, layer.requantize_shift_amount)
-    return _from_codes(codes, layer.preact_params)
+    return _from_codes(_int8_kernel(x_q.codes, layer), layer.preact_params)
 
 
 def forward_int8(m, x_q):
@@ -317,7 +330,7 @@ def predict_int8(m, X):
     """Batched quantized forward pass; returns dequantized outputs [n x c].
 
     Quantizes the float inputs at the model's input scale, then runs the
-    same integer arithmetic as forward_int8 on whole batches.
+    kernel of linear_int8 and the LUT gather of apply_lut on whole batches.
     """
     if m.representation != QUANTIZED:
         raise InvariantError("predict_int8 requires a quantized model")
@@ -326,10 +339,7 @@ def predict_int8(m, X):
         raise InvariantError(f"batch shape {X.shape} does not match input_dim")
     codes = quantize(X, m.layers[0].in_params).codes
     for layer in m.layers:
-        acc = codes.astype(np.int64) @ layer.weights_q.codes.T.astype(np.int64)
-        acc += layer.biases_q
-        z_codes = requantize_shift(acc, layer.requantize_shift_amount)
-        codes = layer.lut.table[z_codes.astype(np.int16) + 128]
+        codes = _lut_gather(layer.lut.table, _int8_kernel(codes, layer))
     return codes.astype(np.float32) * np.float32(m.layers[-1].act_params.step)
 
 

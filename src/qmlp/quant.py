@@ -30,6 +30,9 @@ DEFAULT_PREACT_EXPONENT = -4
 CODE_MIN = -128
 CODE_MAX = 127
 
+# requantize_shift works in place on arrays of at least this many entries.
+_IN_PLACE_MIN_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class QuantParams:
@@ -90,11 +93,6 @@ def _from_codes(codes, params):
     return t
 
 
-def _clamp(arr, lo, hi):
-    """np.clip without its per-call wrapper cost: maximum, then minimum."""
-    return np.minimum(np.maximum(arr, lo), hi)
-
-
 @dataclass(frozen=True)
 class ActivationLUT:
     """256-entry int8 -> int8 activation table, indexed by input code + 128."""
@@ -136,10 +134,10 @@ def choose_exponent(values):
 def quantize(values, params):
     """Quantize a real buffer: q = clamp(round_half_away(v / 2**e), -128, 127)."""
     arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DataError("quantize requires finite values")
-    r = _round_half_away(arr / params.step)
-    return _from_codes(_clamp(r, CODE_MIN, CODE_MAX).astype(np.int8), params)
+    r = _round_half_away(arr / params.step).clip(CODE_MIN, CODE_MAX)
+    return _from_codes(r.astype(np.int8), params)
 
 
 def dequantize(t):
@@ -160,14 +158,20 @@ def requantize_shift(acc, shift):
     if not -31 <= shift <= 31:
         raise InvariantError(f"requantize shift {shift} outside [-31, 31]")
     arr = np.asarray(acc, dtype=np.int64)
-    if shift >= 0:
-        val = arr << shift
-    else:
-        val = (arr - (arr < 0) + (1 << (-shift - 1))) >> -shift
-    out = _clamp(val, CODE_MIN, CODE_MAX).astype(np.int8)
-    if np.ndim(acc) == 0:
-        return int(out)
-    return out
+    val = arr << shift if shift >= 0 else arr - (arr < 0)
+    # On a large array the steps after the first work in place on the fresh
+    # temporary it made (never on the caller's acc), saving a temporary per
+    # step. Below about 1k entries that saves nothing, and on a one-element
+    # array an in-place ufunc call costs about 1 us more.
+    out = val if val.size >= _IN_PLACE_MIN_SIZE else None
+    if shift < 0:
+        val = np.add(val, 1 << (-shift - 1), out=out)
+        val = np.right_shift(val, -shift, out=out)
+    val = np.maximum(val, CODE_MIN, out=out)
+    codes = np.minimum(val, CODE_MAX, out=out).astype(np.int8)
+    if codes.ndim == 0:
+        return int(codes)
+    return codes
 
 
 def build_lut(activation, in_params, out_params, math_mode="reference"):
@@ -189,6 +193,14 @@ def build_lut(activation, in_params, out_params, math_mode="reference"):
     return ActivationLUT(table.astype(np.int8), in_params, out_params, activation)
 
 
+def _lut_gather(table, codes):
+    """table[codes + 128] for int8 codes of any shape, without a widening copy.
+
+    Flipping the top bit of a code's uint8 view gives code + 128.
+    """
+    return table.take(codes.view(np.uint8) ^ 128)
+
+
 def apply_lut(t, lut):
     """Map a QTensor through an activation LUT entry by entry."""
     if t.params != lut.in_params:
@@ -196,5 +208,4 @@ def apply_lut(t, lut):
             f"LUT input params mismatch: tensor e={t.params.exponent}, "
             f"LUT e={lut.in_params.exponent}"
         )
-    idx = t.codes.astype(np.int16) + 128
-    return _from_codes(lut.table[idx], lut.out_params)
+    return _from_codes(_lut_gather(lut.table, t.codes), lut.out_params)

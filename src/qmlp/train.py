@@ -29,7 +29,7 @@ from .nn import (
     predict_int8,
     predict_labels,
 )
-from .quant import CODE_MAX, CODE_MIN, _clamp, _from_codes, dequantize, quantize
+from .quant import CODE_MAX, CODE_MIN, _from_codes, dequantize, quantize
 
 
 class SaturationWarning(UserWarning):
@@ -112,7 +112,7 @@ def backward_lsgd(trace, target, m, lr):
         count += deltas[i].size
     for i, layer in enumerate(m.layers):
         a_prev = trace.acts[i - 1] if i > 0 else trace.x
-        layer.weights -= lr * np.outer(deltas[i], a_prev)
+        layer.weights -= lr * (deltas[i][:, None] * a_prev)
         layer.biases -= lr * deltas[i]
     return count
 
@@ -214,8 +214,8 @@ def _requantize_params(w, b, layer, feedback, layer_idx):
     if feedback is not None:
         w = w + feedback.weights[layer_idx]
         b = b + feedback.biases[layer_idx]
-    w_codes = _clamp(_round_half_away(w / w_step), CODE_MIN, CODE_MAX)
-    b_codes = _clamp(_round_half_away(b.astype(np.float64) / b_step), -b_limit, b_limit)
+    w_codes = _round_half_away(w / w_step).clip(CODE_MIN, CODE_MAX)
+    b_codes = _round_half_away(b.astype(np.float64) / b_step).clip(-b_limit, b_limit)
     if feedback is not None:
         feedback.weights[layer_idx] = (w - w_codes * w_step).astype(np.float32)
         feedback.biases[layer_idx] = (b - b_codes * b_step).astype(np.float32)

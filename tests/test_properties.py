@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qmlp.nn import QUANTIZED, Model, QDenseLayer, bias_code_limit, linear_int8, predict_int8
-from qmlp.quant import CODE_MAX, CODE_MIN, QTensor, QuantParams, build_lut, requantize_shift
+from qmlp.quant import (
+    CODE_MAX,
+    CODE_MIN,
+    ActivationLUT,
+    QTensor,
+    QuantParams,
+    build_lut,
+    requantize_shift,
+)
 from qmlp.train import FeedbackState, _requantize_params
 
 ACC_MAX = 2**31 - 1
@@ -176,6 +184,95 @@ class TestKernel:
                 z = reference_kernel(codes, layer)
                 codes = [int(layer.lut.table[c + 128]) for c in z]
             assert got_row.tolist() == [np.float32(c * out_step) for c in codes]
+
+
+def wide_case(w, x, right, targets):
+    """A one-layer model over weight codes w and the input code rows x.
+
+    The layer's table is the identity, so every pre-activation code reaches
+    the output. Its bias codes put the accumulators of x's first row on
+    ``targets``, then requantize them with a right shift by ``right``.
+    """
+    in_e, w_e = -7, -7
+    limit = bias_code_limit(w.shape[1])
+    sums = w.astype(np.int64) @ x[0].astype(np.int64)
+    biases = [max(-limit, min(limit, t - int(s))) for t, s in zip(targets, sums)]
+    preact = QuantParams(in_e + w_e + right)
+    layer = QDenseLayer(
+        weights_q=QTensor(w, QuantParams(w_e)),
+        biases_q=np.array(biases, dtype=np.int32),
+        in_params=QuantParams(in_e),
+        preact_params=preact,
+        act_params=preact,
+        lut=ActivationLUT(np.arange(CODE_MIN, CODE_MAX + 1), preact, preact, "tanh"),
+        activation="tanh",
+    )
+    return layer, x
+
+
+@st.composite
+def wide_cases(draw):
+    """Fan-in above 1024, with weight and input codes all 127, all -128 or random.
+
+    The first row's accumulators sit on or next to a rounding tie of the
+    shift, often a shift of zero, where an accumulator off by one changes
+    the code. All-127 codes drive the partial sums past 2**24, where float32
+    stops holding every integer.
+    """
+    in_dim = draw(st.integers(1025, 4096))
+    out_dim = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(2, 3))
+    fill = draw(st.sampled_from([CODE_MAX, CODE_MIN, "random"]))
+    if fill == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        w, x = (
+            rng.integers(CODE_MIN, CODE_MAX + 1, shape).astype(np.int8)
+            for shape in ((out_dim, in_dim), (n_rows, in_dim))
+        )
+    else:
+        w = np.full((out_dim, in_dim), fill, dtype=np.int8)
+        x = np.full((n_rows, in_dim), fill, dtype=np.int8)
+    right = draw(st.one_of(st.just(0), st.integers(1, 12)))
+    half = (1 << right) // 2
+    nudges = st.sampled_from([-half - 1, -half, -half + 1, 0, half - 1, half, half + 1])
+    targets = [
+        (draw(st.integers(CODE_MIN, CODE_MAX)) << right) + draw(nudges)
+        for _ in range(out_dim)
+    ]
+    return wide_case(w, x, right, targets)
+
+
+# 127 * 127 * 1087 is odd and above 2**24: a float32 sum of it is not exact
+ALL_127 = wide_case(
+    np.full((2, 1087), CODE_MAX, dtype=np.int8),
+    np.full((2, 1087), CODE_MAX, dtype=np.int8),
+    0,
+    [5, -3],
+)
+
+
+class TestWideFanIn:
+    wide = settings(deadline=None, max_examples=40)
+
+    @wide
+    @given(wide_cases())
+    @example(ALL_127).via("odd partial sums past 2**24 at a shift of zero")
+    def test_linear_int8_matches_rational_reference(self, case):
+        layer, x = case
+        for row in x:
+            got = linear_int8(QTensor(row, layer.in_params), layer)
+            assert got.codes.tolist() == reference_kernel(row.tolist(), layer)
+
+    @wide
+    @given(wide_cases())
+    @example(ALL_127).via("odd partial sums past 2**24 at a shift of zero")
+    def test_predict_int8_matches_rational_reference(self, case):
+        layer, x = case
+        m = Model([layer], layer.in_dim, QUANTIZED)
+        # code * step is exact in float32, so quantize gives back the codes
+        got = predict_int8(m, x.astype(np.float32) * np.float32(layer.in_params.step))
+        want = [reference_kernel(row.tolist(), layer) for row in x]
+        assert (got / layer.act_params.step).tolist() == want
 
 
 class TestRequantizeParams:

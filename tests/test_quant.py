@@ -6,6 +6,7 @@ from qmlp.quant import (
     ActivationLUT,
     QTensor,
     QuantParams,
+    _lut_gather,
     apply_lut,
     build_lut,
     choose_exponent,
@@ -143,6 +144,17 @@ class TestRequantizeShift:
             exact = np.clip(round_half_away(acc * 2.0**shift), -128, 127).astype(np.int8)
             np.testing.assert_array_equal(requantize_shift(acc, shift), exact)
 
+    @pytest.mark.parametrize("shift", [-31, -9, -1, 0, 1, 31])
+    @pytest.mark.parametrize("rows", [1, 1024])  # below and above the in-place size
+    def test_accumulator_argument_is_not_written(self, shift, rows):
+        acc = np.tile([-(2**31) + 1, -384, -1, 0, 64, 2**31 - 1], (rows, 1)).astype(np.int64)
+        before = acc.copy()
+        got = requantize_shift(acc, shift)
+        np.testing.assert_array_equal(acc, before)
+        # the in-place steps give what the scalar path gives
+        want = [requantize_shift(int(a), shift) for a in acc[0]]
+        np.testing.assert_array_equal(got, np.tile(want, (rows, 1)))
+
     def test_shift_range_enforced(self):
         with pytest.raises(InvariantError):
             requantize_shift(1, 32)
@@ -196,6 +208,20 @@ class TestLUT:
         assert out.params == QuantParams(-7)
         t = QTensor(np.array([16, -16], dtype=np.int8), QuantParams(-4))
         np.testing.assert_array_equal(apply_lut(t, lut).codes, [97, -97])
+
+    @pytest.mark.parametrize("shape", [(256,), (16, 16), (2, 128)])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_gather_equals_offset_index_for_every_code(self, shape, transpose):
+        # a scrambled table, so an off-by-one or sign slip in the index shows
+        table = np.random.default_rng(3).integers(-128, 128, 256).astype(np.int8)
+        lut = ActivationLUT(table, QuantParams(-4), QuantParams(-7))
+        codes = np.arange(-128, 128, dtype=np.int8).reshape(shape)
+        if transpose:
+            codes = codes.T
+        expected = table[codes.astype(np.int16) + 128]
+        got = apply_lut(QTensor(codes, QuantParams(-4)), lut).codes
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(_lut_gather(lut.table, codes), expected)
 
     def test_apply_params_mismatch(self):
         lut = build_lut("tanh", QuantParams(-4), QuantParams(-7))
