@@ -29,8 +29,6 @@ layer = QDenseLayer(
     weights_q=QTensor(np.array([[2, 3]], dtype=np.int8), QuantParams(-7)),
     biases_q=np.array([48], dtype=np.int32),
     in_params=QuantParams(-7),
-    preact_params=preact,
-    act_params=out,
     lut=build_lut("tanh", preact, out),
     activation="tanh",
 )

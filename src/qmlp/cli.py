@@ -183,7 +183,6 @@ def cmd_finetune(args):
         learning_rate=DEFAULT_FINETUNE_LR if args.lr is None else args.lr,
         shuffle=args.shuffle,
         seed=args.seed,
-        activation_math=args.activation_math,
         error_feedback=args.error_feedback,
     )
     records = finetune_quantized(m, splits, cfg)
@@ -313,7 +312,6 @@ def build_parser():
     _add_common(p)
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--lr", type=float, default=None, help=f"default {DEFAULT_FINETUNE_LR}")
-    p.add_argument("--activation-math", choices=("fast", "reference"), default="fast")
     p.add_argument("--error-feedback", action="store_true",
                    help="keep float residuals of updates lost to requantization")
     p.add_argument("--random-init", action="store_true",

@@ -87,8 +87,8 @@ def _check_exponent(e, what, offset):
 def load_model(path):
     """Parse a model file back into a Model.
 
-    Loaded models are treated as pretrained: the on-disk format carries no
-    provenance, and saved models normally come from a training pipeline.
+    The file holds the layers' parameters and nothing else; the Model reads
+    its input width and representation from them.
     """
     data = Path(path).read_bytes()
     r = _Reader(data)
@@ -161,20 +161,16 @@ def load_model(path):
                     offset=at + 4 * j,
                 )
             table = r.array(np.int8, 256, f"layer {i} LUT")
-            preact_params = QuantParams(preact_exp)
-            act_params = QuantParams(act_exp)
             layers.append(
                 QDenseLayer(
                     weights_q=QTensor(codes.reshape(out_dim, in_dim), QuantParams(w_exp)),
                     biases_q=biases,
                     in_params=QuantParams(in_exp),
-                    preact_params=preact_params,
-                    act_params=act_params,
-                    lut=ActivationLUT(table, preact_params, act_params, act),
+                    lut=ActivationLUT(table, QuantParams(preact_exp), QuantParams(act_exp), act),
                     activation=act,
                 )
             )
 
     if r.offset != len(data):
         raise FormatError("trailing bytes after model payload", offset=r.offset)
-    return Model(layers, headers[0][0], representation, pretrained=True)
+    return Model(layers)

@@ -10,12 +10,12 @@ run concurrently on a shared model. Training and quantization mutate and
 need exclusive access.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, InvariantError
-from .fastmath import ACTIVATION_NAMES, activation_fn
+from .fastmath import ACTIVATION_NAMES, _round_half_away, activation_fn
 from .quant import (
     DEFAULT_ACTIVATION_EXPONENT,
     DEFAULT_PREACT_EXPONENT,
@@ -97,15 +97,19 @@ class QDenseLayer:
     built, which proves the kernel's accumulator never leaves int32; the
     kernel itself does not check it again. Code that assigns new bias codes
     afterwards (the hybrid trainer) clamps them to the same limit.
+
+    The pre-activation and activation scales are the LUT's input and output
+    scales; ``preact_params`` and ``act_params`` are read from ``lut`` once,
+    when the layer is built.
     """
 
     weights_q: QTensor
     biases_q: np.ndarray
     in_params: QuantParams
-    preact_params: QuantParams
-    act_params: QuantParams
     lut: ActivationLUT
     activation: str
+    preact_params: QuantParams = field(init=False)
+    act_params: QuantParams = field(init=False)
 
     def __post_init__(self):
         biases = np.asarray(self.biases_q)
@@ -123,10 +127,8 @@ class QDenseLayer:
         self.biases_q = biases.astype(np.int32)
         if self.activation not in ACTIVATION_NAMES:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
-        if self.lut.in_params != self.preact_params:
-            raise InvariantError("LUT input params must match pre-activation params")
-        if self.lut.out_params != self.act_params:
-            raise InvariantError("LUT output params must match activation params")
+        self.preact_params = self.lut.in_params
+        self.act_params = self.lut.out_params
 
     @property
     def in_dim(self):
@@ -148,33 +150,38 @@ class QDenseLayer:
 
 @dataclass
 class Model:
-    """Ordered dense layers in one representation ('full' or 'quantized').
+    """Ordered dense layers; the layers are the whole model.
 
-    ``pretrained`` tracks whether the parameters come from a training run
-    (set by the trainers and propagated by quantization); the quantized
-    fine-tuner warns when it is False. The flag is in-memory provenance
-    only — the model file format does not carry it.
+    ``input_dim`` and ``representation`` are read from the layers when the
+    model is built: all ``DenseLayer`` is 'full', all ``QDenseLayer`` is
+    'quantized', anything else raises InvariantError. Widths must chain from
+    layer to layer, and in a quantized model so must the scales: each
+    layer's input exponent is the previous layer's activation exponent.
     """
 
     layers: list
-    input_dim: int
-    representation: str
-    pretrained: bool = False
+    input_dim: int = field(init=False)
+    representation: str = field(init=False)
 
     def __post_init__(self):
-        if self.representation not in (FULL, QUANTIZED):
-            raise ConfigurationError(f"unknown representation {self.representation!r}")
-        want = DenseLayer if self.representation == FULL else QDenseLayer
-        if not self.layers or not all(isinstance(l, want) for l in self.layers):
+        if self.layers and all(isinstance(l, DenseLayer) for l in self.layers):
+            self.representation = FULL
+        elif self.layers and all(isinstance(l, QDenseLayer) for l in self.layers):
+            self.representation = QUANTIZED
+        else:
             raise InvariantError(
-                f"{self.representation} model must hold {want.__name__} layers only"
+                "a model must hold DenseLayer layers only or QDenseLayer layers only"
             )
-        if self.layers[0].in_dim != self.input_dim:
-            raise InvariantError("first layer width does not match input_dim")
+        self.input_dim = self.layers[0].in_dim
         for a, b in zip(self.layers, self.layers[1:]):
             if a.out_dim != b.in_dim:
                 raise InvariantError(
                     f"layer chain mismatch: {a.out_dim} -> {b.in_dim}"
+                )
+            if self.representation == QUANTIZED and a.act_params != b.in_params:
+                raise InvariantError(
+                    f"layer scale chain mismatch: activation e={a.act_params.exponent} "
+                    f"-> input e={b.in_params.exponent}"
                 )
 
     @property
@@ -214,17 +221,15 @@ def build_model(spec, seed):
         b = np.zeros(out_dim, dtype=np.float32)
         layers.append(DenseLayer(w, b, act))
         fan_in = out_dim
-    return Model(layers, input_dim, FULL)
+    return Model(layers)
 
 
 @dataclass
 class FullTrace:
-    """Forward-pass record for the full model: input, z and a per layer."""
+    """Forward-pass record for the full model: the input and a per layer."""
 
     x: np.ndarray
-    preacts: list
     acts: list
-    math_mode: str
 
     @property
     def output(self):
@@ -233,10 +238,10 @@ class FullTrace:
 
 @dataclass
 class QTrace:
-    """Forward-pass record for the quantized model, all values as codes."""
+    """Forward-pass record for the quantized model: the input and a per
+    layer, all as codes."""
 
     x_q: QTensor
-    preacts: list
     acts: list
 
     @property
@@ -253,13 +258,11 @@ def forward_full(m, x, math_mode="reference"):
         raise InvariantError(
             f"input shape {a.shape} does not match input_dim {m.input_dim}"
         )
-    preacts, acts = [], []
+    acts = []
     for layer in m.layers:
-        z = layer.weights @ a + layer.biases
-        a = activation_fn(layer.activation, math_mode)(z)
-        preacts.append(z)
+        a = activation_fn(layer.activation, math_mode)(layer.weights @ a + layer.biases)
         acts.append(a)
-    return FullTrace(np.asarray(x, dtype=np.float32), preacts, acts, math_mode)
+    return FullTrace(np.asarray(x, dtype=np.float32), acts)
 
 
 def predict_full(m, X, math_mode="reference"):
@@ -316,14 +319,11 @@ def forward_int8(m, x_q):
     if m.representation != QUANTIZED:
         raise InvariantError("forward_int8 requires a quantized model")
     cur = x_q
-    preacts, acts = [], []
+    acts = []
     for layer in m.layers:
-        z_q = linear_int8(cur, layer)
-        a_q = apply_lut(z_q, layer.lut)
-        preacts.append(z_q)
-        acts.append(a_q)
-        cur = a_q
-    return QTrace(x_q, preacts, acts)
+        cur = apply_lut(linear_int8(cur, layer), layer.lut)
+        acts.append(cur)
+    return QTrace(x_q, acts)
 
 
 def predict_int8(m, X):
@@ -391,23 +391,20 @@ def quantize_model(m, calibration=None, math_mode="reference"):
         w_params = choose_exponent(layer.weights)
         w_q = quantize(layer.weights, w_params)
         bias_step = 2.0 ** (in_params.exponent + w_params.exponent)
-        b_q = np.round(layer.biases.astype(np.float64) / bias_step)
-        preact_params = QuantParams(preact_exp)
+        b_q = _round_half_away(layer.biases.astype(np.float64) / bias_step)
         act_params = QuantParams(DEFAULT_ACTIVATION_EXPONENT)
-        lut = build_lut(layer.activation, preact_params, act_params, math_mode)
+        lut = build_lut(layer.activation, QuantParams(preact_exp), act_params, math_mode)
         qlayers.append(
             QDenseLayer(
                 weights_q=w_q,
                 biases_q=b_q,
                 in_params=in_params,
-                preact_params=preact_params,
-                act_params=act_params,
                 lut=lut,
                 activation=layer.activation,
             )
         )
         in_params = act_params
-    return Model(qlayers, m.input_dim, QUANTIZED, pretrained=m.pretrained)
+    return Model(qlayers)
 
 
 def clone_model(m):
@@ -425,11 +422,9 @@ def clone_model(m):
                 weights_q=l.weights_q,
                 biases_q=l.biases_q.copy(),
                 in_params=l.in_params,
-                preact_params=l.preact_params,
-                act_params=l.act_params,
                 lut=l.lut,
                 activation=l.activation,
             )
             for l in m.layers
         ]
-    return Model(layers, m.input_dim, m.representation, pretrained=m.pretrained)
+    return Model(layers)

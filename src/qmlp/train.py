@@ -33,7 +33,7 @@ from .quant import CODE_MAX, CODE_MIN, _from_codes, dequantize, quantize
 
 
 class SaturationWarning(UserWarning):
-    """Quantized training started from parameters that were never pre-trained."""
+    """Quantized training started from untrained parameters (every bias zero)."""
 
 
 @dataclass
@@ -49,7 +49,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     shuffle: bool = False
     seed: int = 0
-    loss: str = "mse"
     activation_math: str = "fast"
     error_feedback: bool = False
 
@@ -59,8 +58,6 @@ class TrainConfig:
         # learning_rate 0 is allowed (a no-op run used by tests); negative is not
         if self.learning_rate < 0:
             raise ConfigurationError("learning_rate must be >= 0")
-        if self.loss != "mse":
-            raise ConfigurationError(f"unsupported loss {self.loss!r}")
         if self.activation_math not in MATH_MODES:
             raise ConfigurationError(f"unknown activation math {self.activation_math!r}")
 
@@ -169,7 +166,6 @@ def train_full(m, data, cfg):
         records.append(
             EpochRecord(epoch, correct / train_ds.n, val_acc, loss_sum / train_ds.n)
         )
-    m.pretrained = True
     return records
 
 
@@ -269,21 +265,24 @@ def backward_hybrid(qtrace, target, m, lr, feedback=None):
 def finetune_quantized(m, data, cfg):
     """Quantized fine-tuning: int8 forward, hybrid float backward, per sample.
 
-    The model must come from quantizing a pre-trained full-precision model;
-    starting from random initialization raises SaturationWarning (large
-    early errors clip at the fixed-point range boundaries and wreck the
-    learning signal) and is allowed only for demonstration.
+    The model should come from quantizing a pre-trained full-precision
+    model. A model whose bias codes are all zero, in every layer, carries
+    ``build_model``'s initialization (Glorot weights, biases zero) and has
+    never been trained; fine-tuning it raises SaturationWarning (large early
+    errors clip at the fixed-point range boundaries and wreck the learning
+    signal) and is allowed only for demonstration. The rule reads the
+    parameters alone, so a model loaded from a file is judged like any other.
     """
     if m.representation != QUANTIZED:
         raise ConfigurationError("finetune_quantized requires a quantized model")
     train_ds, val_ds = data
     _check_splits(m, train_ds, val_ds)
-    if not m.pretrained:
+    if not any(l.biases_q.any() for l in m.layers):
         warnings.warn(
-            "fine-tuning a quantized model from random initialization: early "
-            "training errors saturate at the fixed-point range boundaries and "
-            "can invert gradient signs; initialize from a trained "
-            "full-precision model instead",
+            "fine-tuning a quantized model from random initialization (every "
+            "bias code is zero): early training errors saturate at the "
+            "fixed-point range boundaries and can invert gradient signs; "
+            "initialize from a trained full-precision model instead",
             SaturationWarning,
             stacklevel=2,
         )
@@ -311,7 +310,6 @@ def finetune_quantized(m, data, cfg):
         records.append(
             EpochRecord(epoch, correct / train_ds.n, val_acc, loss_sum / train_ds.n)
         )
-    m.pretrained = True
     return records
 
 

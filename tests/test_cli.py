@@ -170,6 +170,15 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith("error[usage]:")
 
+    def test_finetune_has_no_activation_math(self, capsys):
+        # the fine-tuner evaluates no activation: LUT forward, output-form backward
+        code, _, err = run(
+            ["finetune", "--random-init", "--arch", "cogdist", "--activation-math", "fast"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error[usage]:")
+
     def test_missing_dataset_file(self, capsys):
         code, _, err = run([
             "train", "--arch", "cogdist", "--dataset", "/nope/missing.csv",

@@ -62,11 +62,6 @@ class TestRoundTrip:
         m = load_model(path)
         train_full(m, car_splits, TrainConfig(epochs=1))
 
-    def test_loaded_model_marked_pretrained(self, full_model, tmp_path):
-        path = tmp_path / "m.bin"
-        save_model(full_model, path)
-        assert load_model(path).pretrained
-
 
 class TestFormatErrors:
     def test_bad_magic(self, full_model, tmp_path):

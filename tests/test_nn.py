@@ -50,8 +50,6 @@ def make_qlayer(w_codes, bias_codes, in_e=-7, w_e=-7, preact_e=-7, act="tanh"):
         weights_q=QTensor(w_codes, QuantParams(w_e)),
         biases_q=np.asarray(bias_codes, dtype=np.int32),
         in_params=QuantParams(in_e),
-        preact_params=preact,
-        act_params=out,
         lut=build_lut(act, preact, out),
         activation=act,
     )
@@ -95,6 +93,47 @@ class TestBuildModel:
             build_model((0, [(4, "tanh")]), 0)
 
 
+class TestModel:
+    def test_derives_input_dim_and_representation(self):
+        m = Model([DenseLayer(np.zeros((3, 2)), np.zeros(3), "tanh"),
+                   DenseLayer(np.zeros((1, 3)), np.zeros(1), "sigmoid")])
+        assert (m.input_dim, m.representation, m.output_dim) == (2, "full", 1)
+        q = Model([make_qlayer(np.zeros((3, 5)), np.zeros(3))])
+        assert (q.input_dim, q.representation, q.output_dim) == (5, "quantized", 3)
+
+    def test_layers_are_the_only_argument(self):
+        with pytest.raises(TypeError):
+            Model([DenseLayer([[1.0]], [0.0], "tanh")], 1, "full")
+
+    @pytest.mark.parametrize("layers", [
+        [],
+        [DenseLayer([[1.0]], [0.0], "tanh"), make_qlayer([[1]], [0])],
+        [make_qlayer([[1]], [0]), DenseLayer([[1.0]], [0.0], "tanh")],
+        ["not a layer"],
+    ])
+    def test_mixed_or_missing_layers_rejected(self, layers):
+        with pytest.raises(InvariantError):
+            Model(layers)
+
+    def test_width_chain_checked(self):
+        with pytest.raises(InvariantError, match="layer chain mismatch"):
+            Model([DenseLayer(np.zeros((3, 2)), np.zeros(3), "tanh"),
+                   DenseLayer(np.zeros((1, 4)), np.zeros(1), "sigmoid")])
+
+    def test_scale_chain_checked(self):
+        # layer 1 reads its input at e=-5 while layer 0 writes codes at e=-7:
+        # predict_int8 would misread every hidden activation by a factor of 4
+        first = make_qlayer(np.ones((2, 2)), [0, 0], in_e=-7)
+        with pytest.raises(InvariantError, match="scale chain"):
+            Model([first, make_qlayer(np.ones((1, 2)), [0], in_e=-5)])
+        Model([first, make_qlayer(np.ones((1, 2)), [0], in_e=-7)])
+
+    def test_quantized_scales_read_from_lut(self):
+        layer = make_qlayer([[1, 2]], [0], preact_e=-5)
+        assert layer.preact_params == layer.lut.in_params == QuantParams(-5)
+        assert layer.act_params == layer.lut.out_params == QuantParams(-7)
+
+
 class TestForwardFull:
     def test_zero_model_sigmoid_half(self):
         m = build_model((2, [(3, "tanh"), (1, "sigmoid")]), 0)
@@ -104,11 +143,11 @@ class TestForwardFull:
         assert abs(float(out[0]) - 0.5) < 1e-7
 
     def test_single_layer_identity(self):
-        m = Model([DenseLayer([[1.0]], [0.0], "tanh")], 1, "full")
+        m = Model([DenseLayer([[1.0]], [0.0], "tanh")])
         assert abs(float(forward_full(m, [0.0]).output[0])) < 1e-7
 
     def test_hand_computed_sigmoid(self):
-        m = Model([DenseLayer([[1.0, 1.0]], [0.5], "sigmoid")], 2, "full")
+        m = Model([DenseLayer([[1.0, 1.0]], [0.5], "sigmoid")])
         out = forward_full(m, [0.25, 0.25], "reference").output
         assert abs(float(out[0]) - 0.7311) <= 1e-4
 
@@ -330,11 +369,14 @@ class TestQuantizeModel:
             assert np.max(np.abs(Z)) <= 128 * ql.preact_params.step
             A = np.tanh(Z) if l.activation == "tanh" else 1 / (1 + np.exp(-Z))
 
-    def test_pretrained_flag_propagates(self):
-        m = build_model("cogdist", 0)
-        assert not quantize_model(m).pretrained
-        m.pretrained = True
-        assert quantize_model(m).pretrained
+    def test_bias_ties_round_half_away_from_zero(self):
+        m = build_model((2, [(4, "tanh")]), 0)
+        step = 2.0 ** quantize_model(m).layers[0].bias_exponent
+        # exponents come from the weights, so they survive the bias change
+        m.layers[0].biases[:] = np.array([2.5, -2.5, 0.5, -1.5]) * step
+        q = quantize_model(m)
+        assert q.layers[0].bias_exponent == np.log2(step)
+        assert q.layers[0].biases_q.tolist() == [3, -3, 1, -2]
 
 
 class TestCloneAndDequantizeModel:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qmlp.nn import QUANTIZED, Model, QDenseLayer, bias_code_limit, linear_int8, predict_int8
+from qmlp.nn import Model, QDenseLayer, bias_code_limit, linear_int8, predict_int8
 from qmlp.quant import (
     CODE_MAX,
     CODE_MIN,
@@ -118,8 +118,6 @@ def qlayers(draw, in_dim=None, in_e=None):
         weights_q=QTensor(draw(arrays(np.int8, (out_dim, in_dim))), QuantParams(w_e)),
         biases_q=np.array(biases, dtype=np.int32),
         in_params=QuantParams(in_e),
-        preact_params=preact,
-        act_params=out,
         lut=build_lut(act, preact, out),
         activation=act,
     )
@@ -153,8 +151,6 @@ class TestKernel:
             weights_q=QTensor(np.full((2, in_dim), -128, dtype=np.int8), QuantParams(-8)),
             biases_q=np.array([limit, -limit], dtype=np.int32),
             in_params=QuantParams(0),
-            preact_params=preact,
-            act_params=out,
             lut=build_lut("tanh", preact, out),
             activation="tanh",
         )
@@ -169,7 +165,7 @@ class TestKernel:
     def test_predict_int8_matches_rational_reference(self, data):
         first = data.draw(qlayers())
         second = data.draw(qlayers(first.out_dim, first.act_params.exponent))
-        m = Model([first, second], first.in_dim, QUANTIZED)
+        m = Model([first, second])
         X = data.draw(arrays(
             np.float32, (data.draw(st.integers(1, 5)), first.in_dim),
             elements=st.floats(-300, 300, width=32),
@@ -202,8 +198,6 @@ def wide_case(w, x, right, targets):
         weights_q=QTensor(w, QuantParams(w_e)),
         biases_q=np.array(biases, dtype=np.int32),
         in_params=QuantParams(in_e),
-        preact_params=preact,
-        act_params=preact,
         lut=ActivationLUT(np.arange(CODE_MIN, CODE_MAX + 1), preact, preact, "tanh"),
         activation="tanh",
     )
@@ -268,7 +262,7 @@ class TestWideFanIn:
     @example(ALL_127).via("odd partial sums past 2**24 at a shift of zero")
     def test_predict_int8_matches_rational_reference(self, case):
         layer, x = case
-        m = Model([layer], layer.in_dim, QUANTIZED)
+        m = Model([layer])
         # code * step is exact in float32, so quantize gives back the codes
         got = predict_int8(m, x.astype(np.float32) * np.float32(layer.in_params.step))
         want = [reference_kernel(row.tolist(), layer) for row in x]
@@ -287,8 +281,6 @@ class TestRequantizeParams:
             weights_q=QTensor(np.zeros((2, in_dim), dtype=np.int8), QuantParams(-7)),
             biases_q=np.zeros(2, dtype=np.int32),
             in_params=QuantParams(in_e),
-            preact_params=preact,
-            act_params=out,
             lut=build_lut("tanh", preact, out),
             activation="tanh",
         )
@@ -296,7 +288,7 @@ class TestRequantizeParams:
         b_step = 2.0 ** layer.bias_exponent
         b = np.array([sign * scale * limit * b_step, 3 * b_step], dtype=np.float32)
         w = np.zeros((2, in_dim), dtype=np.float32)
-        fb = FeedbackState.for_model(Model([layer], in_dim, QUANTIZED)) if feedback else None
+        fb = FeedbackState.for_model(Model([layer])) if feedback else None
 
         _requantize_params(w, b, layer, fb, 0)
 

@@ -3,6 +3,7 @@ import pytest
 
 from qmlp.data import synth_cogdist, split
 from qmlp.errors import ConfigurationError, InvariantError
+from qmlp.model_io import load_model, save_model
 from qmlp.nn import DenseLayer, Model, build_model, clone_model, forward_full, forward_int8, quantize_model
 from qmlp.quant import quantize
 from qmlp.train import (
@@ -34,12 +35,11 @@ class TestConfig:
         cfg = TrainConfig(epochs=5)
         assert cfg.learning_rate == 0.01
         assert cfg.shuffle is False
-        assert cfg.loss == "mse"
 
     @pytest.mark.parametrize(
         "kwargs",
         [dict(epochs=0), dict(epochs=1, learning_rate=-1),
-         dict(epochs=1, loss="hinge"), dict(epochs=1, activation_math="luts")],
+         dict(epochs=1, activation_math="luts"), dict(epochs=-1)],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -70,7 +70,7 @@ class TestMseLoss:
 
 class TestBackwardLsgd:
     def test_perfect_prediction_no_update(self):
-        m = Model([DenseLayer([[1.0]], [0.0], "sigmoid")], 1, "full")
+        m = Model([DenseLayer([[1.0]], [0.0], "sigmoid")])
         trace = forward_full(m, [0.0], "reference")
         target = trace.output.copy()
         backward_lsgd(trace, target, m, lr=1.0)
@@ -79,7 +79,7 @@ class TestBackwardLsgd:
 
     def test_hand_computed_single_layer(self):
         # a = sigmoid(1) = 0.7311; delta = (a-1) a (1-a) = -0.052877
-        m = Model([DenseLayer([[1.0]], [0.0], "sigmoid")], 1, "full")
+        m = Model([DenseLayer([[1.0]], [0.0], "sigmoid")])
         trace = forward_full(m, [1.0], "reference")
         backward_lsgd(trace, [1.0], m, lr=1.0)
         assert abs(m.layers[0].weights[0, 0] - 1.05289) <= 2e-4
@@ -177,12 +177,6 @@ class TestTrainFull:
         recs = train_full(m, tiny_splits, TrainConfig(epochs=12))
         assert recs[-1].val_acc > recs[0].val_acc
 
-    def test_marks_pretrained(self, tiny_splits):
-        m = build_model("cogdist", 5)
-        assert not m.pretrained
-        train_full(m, tiny_splits, TrainConfig(epochs=1))
-        assert m.pretrained
-
     def test_empty_split_rejected(self, tiny_splits):
         from qmlp.data import Dataset
 
@@ -262,6 +256,26 @@ class TestFinetuneQuantized:
     def test_no_warning_when_pretrained(self, tiny_splits, recwarn):
         _, q = pretrained_quantized(tiny_splits)
         finetune_quantized(q, tiny_splits, TrainConfig(epochs=1, learning_rate=0.05))
+        assert not any(isinstance(w.message, SaturationWarning) for w in recwarn.list)
+
+    def test_warns_on_reloaded_random_init(self, tiny_splits, tmp_path):
+        # a model file carries no provenance; the untrained parameters warn
+        path = tmp_path / "q.bin"
+        save_model(quantize_model(build_model("cogdist", 0)), path)
+        with pytest.warns(SaturationWarning):
+            finetune_quantized(load_model(path), tiny_splits, TrainConfig(epochs=1))
+
+    def test_warns_after_zero_rate_float_training(self, tiny_splits):
+        # a float run at rate 0 leaves every bias at its initial zero
+        m = build_model("cogdist", 0)
+        train_full(m, tiny_splits, TrainConfig(epochs=1, learning_rate=0.0))
+        with pytest.warns(SaturationWarning):
+            finetune_quantized(quantize_model(m), tiny_splits, TrainConfig(epochs=1))
+
+    def test_no_warning_with_one_nonzero_bias_code(self, tiny_splits, recwarn):
+        q = quantize_model(build_model("cogdist", 0))
+        q.layers[1].biases_q[3] = -1
+        finetune_quantized(q, tiny_splits, TrainConfig(epochs=1, learning_rate=0.0))
         assert not any(isinstance(w.message, SaturationWarning) for w in recwarn.list)
 
     def test_zero_lr_keeps_codes_across_epochs(self, tiny_splits):
