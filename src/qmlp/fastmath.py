@@ -111,7 +111,7 @@ def sigmoid_ref(x):
 def tanh_deriv(y):
     """tanh derivative in output form: 1 - y**2, y = tanh(x)."""
     yf = np.asarray(y, dtype=np.float32)
-    out = (1.0 - np.square(yf)).astype(np.float32)
+    out = 1.0 - np.square(yf)
     if np.ndim(y) == 0:
         return np.float32(out[()])
     return out
@@ -120,7 +120,7 @@ def tanh_deriv(y):
 def sigmoid_deriv(y):
     """Sigmoid derivative in output form: y * (1 - y), y = sigmoid(x)."""
     yf = np.asarray(y, dtype=np.float32)
-    out = (yf * (1.0 - yf)).astype(np.float32)
+    out = yf * (1.0 - yf)
     if np.ndim(y) == 0:
         return np.float32(out[()])
     return out

@@ -100,7 +100,8 @@ class QDenseLayer:
 
     The pre-activation and activation scales are the LUT's input and output
     scales; ``preact_params`` and ``act_params`` are read from ``lut`` once,
-    when the layer is built.
+    when the layer is built. ``activation`` must name the function the LUT
+    was built from, since the backward pass applies its derivative.
     """
 
     weights_q: QTensor
@@ -127,6 +128,11 @@ class QDenseLayer:
         self.biases_q = biases.astype(np.int32)
         if self.activation not in ACTIVATION_NAMES:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
+        if self.lut.activation != self.activation:
+            raise InvariantError(
+                f"layer activation {self.activation!r} differs from its LUT's "
+                f"{self.lut.activation!r}"
+            )
         self.preact_params = self.lut.in_params
         self.act_params = self.lut.out_params
 
@@ -285,14 +291,13 @@ def _int8_kernel(codes, layer):
     product is an integer of magnitude at most 2**14, so every partial sum
     is an integer below 2**14 * in_dim < 2**31 < 2**53 (``bias_code_limit``
     is non-negative for every layer that exists), whatever order or fused
-    multiply-add the BLAS uses. The integer sum then joins the pre-loaded
-    bias codes in an int64 accumulator, bounded by 2**31 - 1 as
-    ``bias_code_limit`` proves, and is requantized to the pre-activation
-    scale.
+    multiply-add the BLAS uses. The bias codes are added to that float64
+    sum, which stays exact because the total is an integer bounded by
+    2**31 - 1, as ``bias_code_limit`` proves, and the sum is requantized to
+    the pre-activation scale.
     """
     w = layer.weights_q.codes.astype(np.float64)
-    acc = (codes.astype(np.float64) @ w.T).astype(np.int64)
-    acc += layer.biases_q
+    acc = codes.astype(np.float64) @ w.T + layer.biases_q
     return requantize_shift(acc, layer.requantize_shift_amount)
 
 

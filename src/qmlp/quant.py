@@ -148,27 +148,28 @@ def dequantize(t):
 def requantize_shift(acc, shift):
     """Rescale a 32-bit accumulator to an 8-bit code by a power-of-two shift.
 
-    Equivalent to clamp(round_half_away(acc * 2**shift), -128, 127) in exact
-    arithmetic. Negative shift s = -shift is one floor shift,
-    (acc + 2**(s-1) - [acc < 0]) >> s: the -1 on negative accumulators turns
-    floor into the away-from-zero rounding of an exact tie. Positive shift is
-    a saturating left shift.
+    Returns clamp(round_half_away(acc * 2**shift), -128, 127), computed in
+    float64 as z = acc * 2**shift, then z + copysign(0.5, z), a clamp to
+    [-128, 127] and a cast that truncates toward zero. That is exact for
+    every integer |acc| < 2**31 and every shift in [-31, 31]: z is exact,
+    and for shift <= 0 it is a multiple of 2**shift below 2**(31 + shift),
+    so z + 0.5 needs at most 32 significant bits. For shift > 0, z is an
+    integer: z + 0.5 is exact below 2**52, and a larger z clamps to the same
+    rail whether or not the add rounds. ``acc`` may be an int, an integer
+    array, or a float64 array of integers.
     """
     shift = int(shift)
     if not -31 <= shift <= 31:
         raise InvariantError(f"requantize shift {shift} outside [-31, 31]")
-    arr = np.asarray(acc, dtype=np.int64)
-    val = arr << shift if shift >= 0 else arr - (arr < 0)
-    # On a large array the steps after the first work in place on the fresh
-    # temporary it made (never on the caller's acc), saving a temporary per
-    # step. Below about 1k entries that saves nothing, and on a one-element
-    # array an in-place ufunc call costs about 1 us more.
-    out = val if val.size >= _IN_PLACE_MIN_SIZE else None
-    if shift < 0:
-        val = np.add(val, 1 << (-shift - 1), out=out)
-        val = np.right_shift(val, -shift, out=out)
-    val = np.maximum(val, CODE_MIN, out=out)
-    codes = np.minimum(val, CODE_MAX, out=out).astype(np.int8)
+    z = np.multiply(acc, 2.0**shift, dtype=np.float64)
+    # On a large array the steps after the first work in place on z, a fresh
+    # temporary (never the caller's acc), saving a temporary per step. Below
+    # about 1k entries that saves nothing, and on a one-element array an
+    # in-place ufunc call costs about 1 us more.
+    out = z if z.size >= _IN_PLACE_MIN_SIZE else None
+    z = np.add(z, np.copysign(0.5, z), out=out)
+    # float bounds: numpy resolves the type of an int bound on every call
+    codes = z.clip(float(CODE_MIN), float(CODE_MAX), out=out).astype(np.int8)
     if codes.ndim == 0:
         return int(codes)
     return codes

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,28 @@ class TestDerivatives:
             sig = lambda v: 1 / (1 + np.exp(-v))
             fd_s = (sig(x + eps) - sig(x - eps)) / (2 * eps)
             assert abs(float(sigmoid_deriv(sig(x))) - fd_s) < 1e-4
+
+
+    @pytest.mark.parametrize("name", ["tanh", "sigmoid"])
+    def test_every_activation_code_is_the_exact_formula(self, name):
+        # At the default activation scale y = c / 128, and both 1 - y**2 and
+        # y * (1 - y) are c-polynomials over 2**14 with at most 16 significant
+        # bits, so float32 holds the formula's exact value for all 256 codes.
+        formula = {"tanh": lambda y: 1 - y * y, "sigmoid": lambda y: y * (1 - y)}[name]
+        codes = range(-128, 128)
+        want = np.array(
+            [float(formula(Fraction(c, 128))) for c in codes], dtype=np.float32
+        )
+        deriv = activation_deriv(name)
+        ys = np.arange(-128, 128, dtype=np.float32) / np.float32(128)
+        got = deriv(ys)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+        for y, w in zip(ys, want):
+            for scalar in (y, float(y)):
+                g = deriv(scalar)
+                assert type(g) is np.float32
+                assert g.view(np.uint32) == w.view(np.uint32)
 
 
 class TestRegistry:

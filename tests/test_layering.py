@@ -1,4 +1,5 @@
-"""Structure checks: the module layer order, and the names the demos import."""
+"""Structure checks: the module layer order, no assert statements in the
+package, and the names the demos import."""
 
 import ast
 import importlib
@@ -31,6 +32,16 @@ def test_relative_imports_name_earlier_layers():
                 assert target in LAYERS[:rank], (
                     f"{path.name} imports .{target}, which is not below it in {LAYERS}"
                 )
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so none may guard runtime behaviour
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            assert not isinstance(node, ast.Assert), (
+                f"{path.name}:{node.lineno} has an assert statement; raise an "
+                f"error from qmlp.errors instead"
+            )
 
 
 def test_demo_imports_exist():

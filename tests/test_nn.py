@@ -14,8 +14,9 @@ from qmlp.nn import (
     quantize_model,
     DenseLayer,
     Model,
+    QDenseLayer,
 )
-from qmlp.quant import QTensor, QuantParams, dequantize, quantize
+from qmlp.quant import ActivationLUT, QTensor, QuantParams, dequantize, quantize
 
 
 def round_half_away(x):
@@ -127,6 +128,16 @@ class TestModel:
         with pytest.raises(InvariantError, match="scale chain"):
             Model([first, make_qlayer(np.ones((1, 2)), [0], in_e=-5)])
         Model([first, make_qlayer(np.ones((1, 2)), [0], in_e=-7)])
+
+    def test_activation_must_match_the_lut(self):
+        # the forward pass would read the tanh table while the backward pass
+        # applied the sigmoid derivative
+        layer = make_qlayer([[1, 2]], [0], act="tanh")
+        with pytest.raises(InvariantError, match="differs from its LUT"):
+            QDenseLayer(layer.weights_q, layer.biases_q, layer.in_params, layer.lut, "sigmoid")
+        unnamed = ActivationLUT(layer.lut.table, layer.lut.in_params, layer.lut.out_params)
+        with pytest.raises(InvariantError, match="differs from its LUT"):
+            QDenseLayer(layer.weights_q, layer.biases_q, layer.in_params, unnamed, "tanh")
 
     def test_quantized_scales_read_from_lut(self):
         layer = make_qlayer([[1, 2]], [0], preact_e=-5)

@@ -1,30 +1,45 @@
 """Property tests of the integer path's exactness contract.
 
-Every reference here is exact rational arithmetic (``fractions.Fraction`` and
-Python ints): requantization is round-half-away of acc * 2**shift followed by
-a clamp to [-128, 127], and the kernel is that rounding applied to the
-bias-pre-loaded integer dot product.
+The forward references are exact rational arithmetic (``fractions.Fraction``
+and Python ints): requantization is round-half-away of acc * 2**shift
+followed by a clamp to [-128, 127], and the kernel is that rounding applied
+to the bias-pre-loaded integer dot product. The hybrid backward pass, which
+works in code units, is checked against an oracle that dequantizes every
+parameter and works in real units.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qmlp.nn import Model, QDenseLayer, bias_code_limit, linear_int8, predict_int8
+from qmlp.fastmath import _round_half_away, activation_deriv
+from qmlp.nn import (
+    Model,
+    QDenseLayer,
+    bias_code_limit,
+    clone_model,
+    forward_int8,
+    linear_int8,
+    predict_int8,
+)
 from qmlp.quant import (
     CODE_MAX,
     CODE_MIN,
+    EXPONENT_MAX,
+    EXPONENT_MIN,
     ActivationLUT,
     QTensor,
     QuantParams,
     build_lut,
+    dequantize,
     requantize_shift,
 )
-from qmlp.train import FeedbackState, _requantize_params
+from qmlp.train import FeedbackState, _requantize_params, backward_hybrid
 
 ACC_MAX = 2**31 - 1
 
@@ -97,14 +112,14 @@ class TestRequantizeShift:
 
 
 @st.composite
-def qlayers(draw, in_dim=None, in_e=None):
+def qlayers(draw, in_dim=None, in_e=None, w_exps=st.integers(-16, 0)):
     """A random quantized layer whose bias codes often sit at +-bias_code_limit."""
     if in_dim is None:
         in_dim = draw(st.integers(1, 8))
     out_dim = draw(st.integers(1, 6))
     if in_e is None:
         in_e = draw(st.integers(-16, 0))
-    w_e = draw(st.integers(-16, 0))
+    w_e = draw(w_exps)
     acc_e = in_e + w_e
     shift = draw(st.integers(max(-31, acc_e - 8), min(31, acc_e + 24)))
     limit = bias_code_limit(in_dim)
@@ -286,7 +301,8 @@ class TestRequantizeParams:
         )
         limit = bias_code_limit(in_dim)
         b_step = 2.0 ** layer.bias_exponent
-        b = np.array([sign * scale * limit * b_step, 3 * b_step], dtype=np.float32)
+        # w and b are in code units
+        b = np.array([sign * scale * limit, 3], dtype=np.float32)
         w = np.zeros((2, in_dim), dtype=np.float32)
         fb = FeedbackState.for_model(Model([layer])) if feedback else None
 
@@ -294,6 +310,150 @@ class TestRequantizeParams:
 
         assert layer.biases_q.tolist() == [sign * limit, 3]
         if fb is not None:
-            # the residual keeps everything the clamp cut off
-            assert fb.biases[0][0] == np.float32(float(b[0]) - sign * limit * b_step)
+            # the residual keeps everything the clamp cut off, in real units
+            assert fb.biases[0][0] == np.float32((float(b[0]) - sign * limit) * b_step)
             assert fb.biases[0][1] == 0.0
+
+
+def oracle_requantize_params(w, b, layer, feedback, layer_idx):
+    """The value-unit requantize step: w and b are real parameter values."""
+    w_step = layer.weights_q.params.step
+    b_step = 2.0 ** layer.bias_exponent
+    b_limit = bias_code_limit(layer.in_dim)
+    if feedback is not None:
+        w = w + feedback.weights[layer_idx]
+        b = b + feedback.biases[layer_idx]
+    w_codes = _round_half_away(w / w_step).clip(CODE_MIN, CODE_MAX)
+    b_codes = _round_half_away(b.astype(np.float64) / b_step).clip(-b_limit, b_limit)
+    if feedback is not None:
+        feedback.weights[layer_idx] = (w - w_codes * w_step).astype(np.float32)
+        feedback.biases[layer_idx] = (b - b_codes * b_step).astype(np.float32)
+    layer.weights_q = QTensor(w_codes.astype(np.int8), layer.weights_q.params)
+    layer.biases_q = b_codes.astype(np.int32)
+
+
+def oracle_backward_hybrid(qtrace, target, m, lr, feedback=None):
+    """The hybrid backward pass in value units: every parameter dequantized,
+    updated in float32 and divided by its step to requantize."""
+    t = np.asarray(target, dtype=np.float32)
+    a_cur = dequantize(qtrace.acts[-1])
+    delta = (a_cur - t) * activation_deriv(m.layers[-1].activation)(a_cur)
+    for i in reversed(range(len(m.layers))):
+        layer = m.layers[i]
+        a_prev = dequantize(qtrace.acts[i - 1]) if i > 0 else dequantize(qtrace.x_q)
+        w = dequantize(layer.weights_q)
+        b = layer.biases_q.astype(np.float32) * 2.0 ** layer.bias_exponent
+        if i > 0:
+            deriv_prev = activation_deriv(m.layers[i - 1].activation)(a_prev)
+            delta_below = (w.T @ delta) * deriv_prev
+        else:
+            delta_below = None
+        w -= lr * (delta[:, None] * a_prev)
+        b -= lr * delta
+        oracle_requantize_params(w, b, layer, feedback, i)
+        delta = delta_below
+
+
+# A subnormal intermediate (below 2**-126) is rounded to a multiple of
+# 2**-149 in one unit and not in the other. lr <= 1e6 < 2**20 and the
+# weights scale that difference up only so far, so it can change a residual
+# only where both readings are tiny; every difference seen was below 2**-125.
+TINY_RESIDUAL = 2.0**-100
+
+
+def assert_same_residuals(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float32
+    differs = got.view(np.uint32) != want.view(np.uint32)
+    assert np.all(np.abs(got[differs]) < TINY_RESIDUAL), (got, want)
+    assert np.all(np.abs(want[differs]) < TINY_RESIDUAL), (got, want)
+
+
+def train_both(m, samples, lr, error_feedback):
+    """Run backward_hybrid on m and the oracle on a clone, sample by sample.
+
+    After every step the weight and bias codes must be equal, and so must
+    the error-feedback residuals' bits, except where both are tiny. Returns
+    both feedback states.
+    """
+    oracle = clone_model(m)
+    fb_got = FeedbackState.for_model(m) if error_feedback else None
+    fb_want = FeedbackState.for_model(oracle) if error_feedback else None
+    in_params = m.layers[0].in_params
+    for x, t in samples:
+        backward_hybrid(forward_int8(m, QTensor(x, in_params)), t, m, lr, fb_got)
+        oracle_backward_hybrid(forward_int8(oracle, QTensor(x, in_params)), t, oracle, lr, fb_want)
+        for got, want in zip(m.layers, oracle.layers):
+            assert got.weights_q.codes.tolist() == want.weights_q.codes.tolist()
+            assert got.biases_q.tolist() == want.biases_q.tolist()
+        if error_feedback:
+            for got, want in zip(fb_got.weights + fb_got.biases, fb_want.weights + fb_want.biases):
+                assert_same_residuals(got, want)
+    return fb_got, fb_want
+
+
+LEARNING_RATES = [0.0, 1e-4, 0.05, 1.0, 1e6]
+
+
+class TestBackwardHybridInCodeUnits:
+    """backward_hybrid works on parameters in code units, the oracle above in
+    real units. Both must give the same codes."""
+
+    @no_deadline
+    @given(st.data(), st.sampled_from(LEARNING_RATES), st.booleans())
+    def test_matches_the_value_unit_oracle(self, data, lr, error_feedback):
+        w_exps = st.integers(EXPONENT_MIN, EXPONENT_MAX)
+        layers = [data.draw(qlayers(w_exps=w_exps))]
+        for _ in range(data.draw(st.integers(0, 2))):
+            prev = layers[-1]
+            layers.append(data.draw(qlayers(prev.out_dim, prev.act_params.exponent, w_exps)))
+        m = Model(layers)
+        # targets include zeros and subnormals, so deltas can be subnormal too
+        targets = st.floats(-1.5, 1.5, width=32)
+        samples = data.draw(st.lists(
+            st.tuples(
+                arrays(np.int8, m.input_dim),
+                arrays(np.float32, m.output_dim, elements=targets),
+            ),
+            min_size=1, max_size=3,
+        ))
+        with np.errstate(over="ignore", invalid="ignore"):
+            train_both(m, samples, lr, error_feedback)
+
+    @staticmethod
+    def tiny_update_model():
+        # weights and biases zero: tanh(0) = 0, so the output code is 0 and
+        # a target t gives delta = -t
+        preact, out = QuantParams(-4), QuantParams(-7)
+        layer = QDenseLayer(
+            weights_q=QTensor(np.zeros((1, 2), dtype=np.int8), QuantParams(-7)),
+            biases_q=np.zeros(1, dtype=np.int32),
+            in_params=QuantParams(-7),
+            lut=build_lut("tanh", preact, out),
+            activation="tanh",
+        )
+        return Model([layer])
+
+    @pytest.mark.parametrize("lr, target", [
+        (1e-4, 1e-36), (1e-4, 1.7e-35), (0.05, 1e-36), (1.0, 3e-38), (1.0, 1e-45),
+    ])
+    @pytest.mark.parametrize("error_feedback", [False, True])
+    def test_subnormal_updates(self, lr, target, error_feedback):
+        m = self.tiny_update_model()
+        x = np.array([1, 3], dtype=np.int8)  # a = 2**-7 and 3 * 2**-7
+        t = np.array([target], dtype=np.float32)
+        # every weight update lr * delta * a is below 2**-126
+        assert 0 < lr * float(t[0]) * 3 * 2.0**-7 < 2.0**-126
+        train_both(m, [(x, t), (x, t)], lr, error_feedback)
+        assert m.layers[0].weights_q.codes.tolist() == [[0, 0]]
+
+    def test_subnormal_bias_update_changes_the_residual_bits(self):
+        # The domain backward_hybrid's docstring names: lr * delta = 1.7e-39
+        # is subnormal in real units, 2**14 times larger in code units, and
+        # the two round it differently. The codes agree; the residual's low
+        # bits do not.
+        m = self.tiny_update_model()
+        sample = (np.array([1, 3], dtype=np.int8), np.array([1.7e-35], dtype=np.float32))
+        fb_got, fb_want = train_both(m, [sample], 1e-4, True)
+        assert fb_got.biases[0].tolist() != fb_want.biases[0].tolist()
+        assert fb_got.weights[0].tolist() == fb_want.weights[0].tolist()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qmlp.nn import build_model, linear_int8, quantize_model
-from qmlp.quant import QTensor, QuantParams, apply_lut, build_lut, dequantize, quantize
+from qmlp.quant import QTensor, QuantParams, apply_lut, build_lut, quantize
 from qmlp.train import _requantize_params
 
 
@@ -55,7 +55,8 @@ def test_apply_lut():
 
 def test_requantize_params(qlayer):
     old = qlayer.weights_q
-    w = dequantize(old) + np.float32(0.25)
+    # code units: the real weight is w * 2**e_w
+    w = old.codes.astype(np.float32) + np.float32(0.25)
     b = np.zeros(qlayer.out_dim, dtype=np.float32)
     _requantize_params(w, b, qlayer, None, 0)
     new = qlayer.weights_q
