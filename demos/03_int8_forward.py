@@ -30,7 +30,6 @@ layer = QDenseLayer(
     biases_q=np.array([48], dtype=np.int32),
     in_params=QuantParams(-7),
     lut=build_lut("tanh", preact, out),
-    activation="tanh",
 )
 x = QTensor(np.array([10, 20], dtype=np.int8), QuantParams(-7))
 z = linear_int8(x, layer)

@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(p, *, split=True):
+def _add_common(p, *, shuffle=True):
     p.add_argument(
         "--dataset",
         help="'car' (canonical CSV at $QMLP_CAR_CSV or data/car.csv), "
@@ -54,15 +54,15 @@ def _add_common(p, *, split=True):
     )
     p.add_argument("--arch", choices=sorted(ARCHITECTURES))
     p.add_argument("--seed", type=int, default=0)
-    if split:
-        p.add_argument("--split", type=float, default=0.8, help="train fraction (default 0.8)")
-    shuffle = p.add_mutually_exclusive_group()
-    shuffle.add_argument(
-        "--no-shuffle", dest="shuffle", action="store_false",
-        help="visit training samples in stored order (default)",
-    )
-    shuffle.add_argument("--shuffle", dest="shuffle", action="store_true")
-    p.set_defaults(shuffle=False)
+    p.add_argument("--split", type=float, default=0.8, help="train fraction (default 0.8)")
+    if shuffle:
+        group = p.add_mutually_exclusive_group()
+        group.add_argument(
+            "--no-shuffle", dest="shuffle", action="store_false",
+            help="visit training samples in stored order (default)",
+        )
+        group.add_argument("--shuffle", dest="shuffle", action="store_true")
+        p.set_defaults(shuffle=False)
 
 
 def _resolve_dataset(args):
@@ -132,7 +132,7 @@ def cmd_train(args):
 
 
 def _read_feature_csv(path, n_features):
-    rows = data_mod._read_rows(path, has_header=False)
+    rows = data_mod._read_rows(path)
     out = np.empty((len(rows), n_features), dtype=np.float64)
     for r, row in enumerate(rows):
         if len(row) != n_features:
@@ -231,7 +231,8 @@ def cmd_eval(args):
 
 def cmd_report_memory(args):
     if args.arch and not args.model:
-        full = build_model(args.arch, args.seed)
+        # the byte counts depend only on the layer shapes, not the weights
+        full = build_model(args.arch, 0)
         q = quantize_model(full)
     else:
         if not args.model:
@@ -323,7 +324,7 @@ def build_parser():
 
     p = sub.add_parser("eval", help="metrics table for a model on a dataset split")
     p.add_argument("model")
-    _add_common(p)
+    _add_common(p, shuffle=False)
     p.add_argument("--on", choices=("train", "val", "all"), default="val")
     p.add_argument("--activation-math", choices=("fast", "reference"), default="reference")
     p.add_argument("--json", action="store_true")
@@ -333,7 +334,6 @@ def build_parser():
     p.add_argument("model", nargs="?")
     p.add_argument("--quantized", help="quantized model file")
     p.add_argument("--arch", choices=sorted(ARCHITECTURES))
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_report_memory)
 
     p = sub.add_parser("curves", help="re-emit a curve CSV, optionally with a sparkline")

@@ -89,17 +89,15 @@ def normalize_features(raw, lo, hi):
     return np.clip(out, -1.0, 1.0).astype(np.float32)
 
 
-def _read_rows(path, has_header):
+def _read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
-    if has_header and rows:
-        rows = rows[1:]
     if not rows:
         raise FormatError(f"{path}: no data rows")
     return rows
 
 
-def load_car_evaluation(path, has_header=False):
+def load_car_evaluation(path):
     """Load a car-acceptability CSV (6 categorical attributes + class).
 
     Attributes are ordinal-encoded by their documented category order and
@@ -107,7 +105,7 @@ def load_car_evaluation(path, has_header=False):
     (unacc, acc, good, vgood). A row count other than the canonical 1728
     only warns.
     """
-    rows = _read_rows(path, has_header)
+    rows = _read_rows(path)
     n_cols = len(CAR_ATTRIBUTES) + 1
     ordinals = np.empty((len(rows), len(CAR_ATTRIBUTES)), dtype=np.float64)
     targets = np.zeros((len(rows), len(CAR_CLASSES)), dtype=np.float32)
@@ -143,13 +141,13 @@ def load_car_evaluation(path, has_header=False):
     return Dataset(normalize_features(ordinals, lo, hi), targets, CAR_CLASSES, lo, hi)
 
 
-def load_csv_generic(path, n_features, has_header=False):
+def load_csv_generic(path, n_features):
     """Load a numeric CSV: n_features columns, then one {0,1} target column.
 
     Features are left raw here; split() binds min-max normalization
     statistics from the training rows only.
     """
-    rows = _read_rows(path, has_header)
+    rows = _read_rows(path)
     n_cols = n_features + 1
     values = np.empty((len(rows), n_cols), dtype=np.float64)
     for r, row in enumerate(rows):

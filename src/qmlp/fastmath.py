@@ -19,19 +19,54 @@ _EXP_X_MIN = -87.0
 _EXP_X_MAX = 88.0
 
 
-def _round_half_away(arr):
-    """Elementwise round to nearest, ties away from zero, in float."""
-    return np.trunc(arr + np.copysign(0.5, arr))
+# h, the largest float below 0.5 in each precision _round_half_away serves
+_BELOW_HALF = {
+    np.dtype(np.float32): np.float32(0.5 - 2.0**-25),
+    np.dtype(np.float64): 0.5 - 2.0**-54,
+}
+
+
+def _round_half_away(x, lo=None, hi=None, dtype=None, out=None):
+    """Round to nearest, ties away from zero: the one rounding rule of qmlp.
+
+    Computed as trunc(x + copysign(h, x)), where h is the largest float
+    below 0.5 in x's precision (float32 or float64, p significand bits).
+    This is exact for every finite x. Taking x >= 0 and s = x + h exactly:
+
+    - x < 0.5: s <= 2h < 1, so the result is 0.
+    - 0.5 <= x < 2**(p-1): x + 0.5 = n + f, with n an integer and f a
+      multiple of x's float spacing g, and s is 2**-(p+1) below it. The
+      float spacing just below n + 1 is at most 2g, so s, more than g below
+      n + 1, cannot round up to it. For f > 0, s > n. For f = 0, s is at
+      most half a spacing below n and rounds to n (a tie only at n = 1,
+      which ties-to-even keeps).
+    - x >= 2**(p-1): x is an integer and h is under half its spacing, so s
+      rounds back to x.
+
+    ``x + copysign(0.5, x)`` fails the first and last cases: the add ties to
+    even, so the largest float below 0.5 rounds to 1, and odd integers in
+    [2**(p-1), 2**p) round up by one.
+
+    ``lo``/``hi``, integers as floats, clamp before the truncation; numpy
+    resolves the type of an int bound on every call. ``dtype`` truncates by
+    casting instead of by ``np.trunc``; the values must fit it. ``out``
+    takes every step in place (it may be x itself, if x is a temporary).
+    """
+    r = np.add(x, np.copysign(_BELOW_HALF[x.dtype], x), out=out)
+    if lo is not None:
+        r = r.clip(lo, hi, out=out)
+    if dtype is None:
+        return np.trunc(r, out=out)
+    return r.astype(dtype)
 
 
 def fast_round(x):
-    """Round to the nearest integer, ties away from zero.
+    """Round to the nearest integer, ties away from zero (``_round_half_away``).
 
-    Computed as truncate(x + 0.5*sign(x)). Caller contract: |x| < 2^31 - 1;
-    behavior outside that range is unspecified.
+    Caller contract: |x| < 2^31 - 1; behavior outside that range is
+    unspecified.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    out = _round_half_away(arr).astype(np.int32)
+    out = _round_half_away(np.asarray(x, dtype=np.float64), dtype=np.int32)
     if np.ndim(x) == 0:
         return int(out)
     return out
@@ -56,7 +91,7 @@ def fast_exp(x):
     # The clip method, not np.clip: it skips np.clip's dispatch layers, which
     # cost more than the clamp itself on a step-sized array.
     arr = np.asarray(x, dtype=np.float64).clip(_EXP_X_MIN, _EXP_X_MAX)
-    scaled = _round_half_away(arr * _EXP_SLOPE).astype(np.int64)
+    scaled = _round_half_away(arr * _EXP_SLOPE, dtype=np.int64)
     bits = (scaled + _F32_ONE_BITS).astype(np.int32)
     out = bits.view(np.float32)
     if np.ndim(x) == 0:

@@ -115,10 +115,9 @@ def load_model(path):
             raise FormatError(f"layer {i} has zero dimension", offset=at)
         if act_byte not in _BYTE_TO_ACT:
             raise FormatError(f"layer {i} unknown activation byte {act_byte}", offset=at + 4)
+        if headers and headers[-1][1] != in_dim:
+            raise FormatError(f"layer chain mismatch between layers {i - 1} and {i}", offset=at)
         headers.append((in_dim, out_dim, _BYTE_TO_ACT[act_byte]))
-    for i, (prev, nxt) in enumerate(zip(headers, headers[1:])):
-        if prev[1] != nxt[0]:
-            raise FormatError(f"layer chain mismatch between layers {i} and {i + 1}", offset=9)
 
     layers = []
     prev_act_exp = None
@@ -136,15 +135,14 @@ def load_model(path):
             layers.append(DenseLayer(w.reshape(out_dim, in_dim), b, act))
         else:
             at = r.offset
-            w_exp, in_exp, preact_exp, act_exp = r.unpack("<bbbb", f"layer {i} exponents")
-            for name, e in (("weight", w_exp), ("input", in_exp),
-                            ("pre-activation", preact_exp), ("activation", act_exp)):
-                _check_exponent(e, f"layer {i} {name}", at)
+            w_exp, in_exp, preact_exp, act_exp = exps = r.unpack("<bbbb", f"layer {i} exponents")
+            for k, name in enumerate(("weight", "input", "pre-activation", "activation")):
+                _check_exponent(exps[k], f"layer {i} {name}", at + k)  # one byte each
             if prev_act_exp is not None and in_exp != prev_act_exp:
                 raise FormatError(
                     f"layer {i} input exponent {in_exp} does not chain from "
                     f"previous activation exponent {prev_act_exp}",
-                    offset=at,
+                    offset=at + 1,
                 )
             prev_act_exp = act_exp
             codes = r.array(np.int8, out_dim * in_dim, f"layer {i} weight codes")
@@ -167,7 +165,6 @@ def load_model(path):
                     biases_q=biases,
                     in_params=QuantParams(in_exp),
                     lut=ActivationLUT(table, QuantParams(preact_exp), QuantParams(act_exp), act),
-                    activation=act,
                 )
             )
 

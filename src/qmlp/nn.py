@@ -100,15 +100,14 @@ class QDenseLayer:
 
     The pre-activation and activation scales are the LUT's input and output
     scales; ``preact_params`` and ``act_params`` are read from ``lut`` once,
-    when the layer is built. ``activation`` must name the function the LUT
-    was built from, since the backward pass applies its derivative.
+    when the layer is built. ``activation``, whose derivative the backward
+    pass applies, is the one the LUT was built from.
     """
 
     weights_q: QTensor
     biases_q: np.ndarray
     in_params: QuantParams
     lut: ActivationLUT
-    activation: str
     preact_params: QuantParams = field(init=False)
     act_params: QuantParams = field(init=False)
 
@@ -126,15 +125,12 @@ class QDenseLayer:
                 f"accumulator of a {self.in_dim}-input layer from overflowing"
             )
         self.biases_q = biases.astype(np.int32)
-        if self.activation not in ACTIVATION_NAMES:
-            raise ConfigurationError(f"unknown activation {self.activation!r}")
-        if self.lut.activation != self.activation:
-            raise InvariantError(
-                f"layer activation {self.activation!r} differs from its LUT's "
-                f"{self.lut.activation!r}"
-            )
         self.preact_params = self.lut.in_params
         self.act_params = self.lut.out_params
+
+    @property
+    def activation(self):
+        return self.lut.activation
 
     @property
     def in_dim(self):
@@ -399,15 +395,7 @@ def quantize_model(m, calibration=None, math_mode="reference"):
         b_q = _round_half_away(layer.biases.astype(np.float64) / bias_step)
         act_params = QuantParams(DEFAULT_ACTIVATION_EXPONENT)
         lut = build_lut(layer.activation, QuantParams(preact_exp), act_params, math_mode)
-        qlayers.append(
-            QDenseLayer(
-                weights_q=w_q,
-                biases_q=b_q,
-                in_params=in_params,
-                lut=lut,
-                activation=layer.activation,
-            )
-        )
+        qlayers.append(QDenseLayer(weights_q=w_q, biases_q=b_q, in_params=in_params, lut=lut))
         in_params = act_params
     return Model(qlayers)
 
@@ -423,13 +411,7 @@ def clone_model(m):
         # QTensor/LUT components are immutable and training replaces rather
         # than mutates them, so sharing the initial buffers is safe.
         layers = [
-            QDenseLayer(
-                weights_q=l.weights_q,
-                biases_q=l.biases_q.copy(),
-                in_params=l.in_params,
-                lut=l.lut,
-                activation=l.activation,
-            )
+            QDenseLayer(l.weights_q, l.biases_q.copy(), l.in_params, l.lut)
             for l in m.layers
         ]
     return Model(layers)

@@ -10,12 +10,12 @@ across concurrent readers.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError, InvariantError
-from .fastmath import _round_half_away, activation_fn
+from .fastmath import ACTIVATION_NAMES, _round_half_away, activation_fn
 
 EXPONENT_MIN = -24
 EXPONENT_MAX = 8
@@ -29,6 +29,7 @@ DEFAULT_PREACT_EXPONENT = -4
 
 CODE_MIN = -128
 CODE_MAX = 127
+_CODE_LO, _CODE_HI = float(CODE_MIN), float(CODE_MAX)  # clamp bounds, see _round_half_away
 
 # requantize_shift works in place on arrays of at least this many entries.
 _IN_PLACE_MIN_SIZE = 1024
@@ -95,14 +96,17 @@ def _from_codes(codes, params):
 
 @dataclass(frozen=True)
 class ActivationLUT:
-    """256-entry int8 -> int8 activation table, indexed by input code + 128."""
+    """256-entry int8 -> int8 activation table, indexed by input code + 128,
+    and the name of the activation it was built from."""
 
     table: np.ndarray
     in_params: QuantParams
     out_params: QuantParams
-    activation: str = field(default="", compare=False)
+    activation: str
 
     def __post_init__(self):
+        if self.activation not in ACTIVATION_NAMES:
+            raise ConfigurationError(f"unknown activation {self.activation!r}")
         table = np.asarray(self.table, dtype=np.int8).copy()
         if table.shape != (256,):
             raise InvariantError(f"LUT table must have 256 entries, got {table.shape}")
@@ -136,8 +140,8 @@ def quantize(values, params):
     arr = np.asarray(values, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise DataError("quantize requires finite values")
-    r = _round_half_away(arr / params.step).clip(CODE_MIN, CODE_MAX)
-    return _from_codes(r.astype(np.int8), params)
+    codes = _round_half_away(arr / params.step, _CODE_LO, _CODE_HI, np.int8)
+    return _from_codes(codes, params)
 
 
 def dequantize(t):
@@ -148,28 +152,22 @@ def dequantize(t):
 def requantize_shift(acc, shift):
     """Rescale a 32-bit accumulator to an 8-bit code by a power-of-two shift.
 
-    Returns clamp(round_half_away(acc * 2**shift), -128, 127), computed in
-    float64 as z = acc * 2**shift, then z + copysign(0.5, z), a clamp to
-    [-128, 127] and a cast that truncates toward zero. That is exact for
-    every integer |acc| < 2**31 and every shift in [-31, 31]: z is exact,
-    and for shift <= 0 it is a multiple of 2**shift below 2**(31 + shift),
-    so z + 0.5 needs at most 32 significant bits. For shift > 0, z is an
-    integer: z + 0.5 is exact below 2**52, and a larger z clamps to the same
-    rail whether or not the add rounds. ``acc`` may be an int, an integer
-    array, or a float64 array of integers.
+    Returns clamp(round_half_away(acc * 2**shift), -128, 127). z =
+    acc * 2**shift is exact in float64 for every integer |acc| < 2**31 and
+    every shift in [-31, 31], and ``_round_half_away`` is exact for every
+    finite z. ``acc`` may be an int, an integer array, or a float64 array
+    of integers.
     """
     shift = int(shift)
     if not -31 <= shift <= 31:
         raise InvariantError(f"requantize shift {shift} outside [-31, 31]")
     z = np.multiply(acc, 2.0**shift, dtype=np.float64)
-    # On a large array the steps after the first work in place on z, a fresh
-    # temporary (never the caller's acc), saving a temporary per step. Below
-    # about 1k entries that saves nothing, and on a one-element array an
-    # in-place ufunc call costs about 1 us more.
+    # On a large array the rounding works in place on z, a fresh temporary
+    # (never the caller's acc), saving a temporary per step. Below about 1k
+    # entries that saves nothing, and on a one-element array an in-place
+    # ufunc call costs about 1 us more.
     out = z if z.size >= _IN_PLACE_MIN_SIZE else None
-    z = np.add(z, np.copysign(0.5, z), out=out)
-    # float bounds: numpy resolves the type of an int bound on every call
-    codes = z.clip(float(CODE_MIN), float(CODE_MAX), out=out).astype(np.int8)
+    codes = _round_half_away(z, _CODE_LO, _CODE_HI, np.int8, out)
     if codes.ndim == 0:
         return int(codes)
     return codes
@@ -184,14 +182,9 @@ def build_lut(activation, in_params, out_params, math_mode="reference"):
     studying the approximation interaction — the table build is one-off, so
     the reference costs nothing at inference time).
     """
-    if activation not in ("tanh", "sigmoid"):
-        raise ConfigurationError(f"no LUT builder for activation {activation!r}")
-    act = activation_fn(activation, math_mode)
-    codes = np.arange(CODE_MIN, CODE_MAX + 1, dtype=np.float64)
-    x = codes * in_params.step
-    y = np.asarray(act(x), dtype=np.float64)
-    table = np.clip(_round_half_away(y / out_params.step), CODE_MIN, CODE_MAX)
-    return ActivationLUT(table.astype(np.int8), in_params, out_params, activation)
+    x = np.arange(CODE_MIN, CODE_MAX + 1, dtype=np.float64) * in_params.step
+    table = quantize(activation_fn(activation, math_mode)(x), out_params).codes
+    return ActivationLUT(table, in_params, out_params, activation)
 
 
 def _lut_gather(table, codes):

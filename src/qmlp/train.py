@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, InvariantError
-from .fastmath import MATH_MODES, activation_deriv
+from .fastmath import MATH_MODES, _round_half_away, activation_deriv
 from .nn import (
     FULL,
     QUANTIZED,
@@ -29,7 +29,7 @@ from .nn import (
     predict_int8,
     predict_labels,
 )
-from .quant import CODE_MAX, CODE_MIN, _from_codes, dequantize, quantize
+from .quant import _CODE_HI, _CODE_LO, _from_codes, dequantize, quantize
 
 
 class SaturationWarning(UserWarning):
@@ -198,24 +198,18 @@ class FeedbackState:
         )
 
 
-# float32 constants for rounding the weights: a Python number meeting a
-# float32 array costs numpy a type resolution on every call.
-_F32_HALF = np.float32(0.5)
-_F32_CODE_MIN = np.float32(CODE_MIN)
-_F32_CODE_MAX = np.float32(CODE_MAX)
-
-
 def _requantize_params(w, b, layer, feedback, layer_idx):
     """Round updated parameters, given in code units, back into their codes.
 
     ``w`` and ``b`` are float32 arrays in the layer's own code units: the
     real weight is ``w * 2**e_w`` and the real bias ``b * 2**e_b``, with
-    e_w the weight exponent and e_b the bias exponent. Each rounds half
-    away from zero; weight codes saturate at the int8 range, and bias codes,
-    rounded in float64, at the layer's ``bias_code_limit``, which keeps the
-    accumulator bound proven when the layer was built. The error-feedback
-    residuals stay in real units: they are scaled into code units before
-    they join the update, and what rounding leaves over is scaled back.
+    e_w the weight exponent and e_b the bias exponent. Both round by
+    ``_round_half_away``, the weights in float32 and the biases in float64;
+    weight codes saturate at the int8 range, and bias codes at the layer's
+    ``bias_code_limit``, which keeps the accumulator bound proven when the
+    layer was built. The error-feedback residuals stay in real units: they
+    are scaled into code units before they join the update, and what
+    rounding leaves over is scaled back.
     """
     w_exp = layer.weights_q.params.exponent
     b_exp = layer.bias_exponent
@@ -224,8 +218,8 @@ def _requantize_params(w, b, layer, feedback, layer_idx):
         w = w + feedback.weights[layer_idx] * 2.0**-w_exp
         b = b + feedback.biases[layer_idx] * 2.0**-b_exp
     b = b.astype(np.float64)
-    w_codes = (w + np.copysign(_F32_HALF, w)).clip(_F32_CODE_MIN, _F32_CODE_MAX).astype(np.int8)
-    b_codes = (b + np.copysign(0.5, b)).clip(-b_limit, b_limit).astype(np.int32)
+    w_codes = _round_half_away(w, _CODE_LO, _CODE_HI, np.int8)
+    b_codes = _round_half_away(b, -b_limit, b_limit, np.int32)
     if feedback is not None:
         feedback.weights[layer_idx] = (w - w_codes) * 2.0**w_exp
         feedback.biases[layer_idx] = ((b - b_codes) * 2.0**b_exp).astype(np.float32)
@@ -242,17 +236,14 @@ def backward_hybrid(qtrace, target, m, lr, feedback=None):
     below), apply the update, and requantize immediately back into the
     layer's existing exponents. Exponents and LUTs are never rebuilt.
 
-    The parameters are never dequantized. The weights and biases work in
-    code units, as their codes cast to float32: the delta below is
-    ``(codes.T @ delta) * 2**e_w * act'``, and the updates are scaled by
-    ``float32(lr) * 2**-e`` before they are subtracted. A power-of-two scale
-    commutes with float32 rounding, so every code and residual equals that
-    of a dequantize, update and divide in real units, bit for bit. The
-    exception is float32's subnormal range: an intermediate such as
-    lr * delta * a that is below 2**-126 in one unit but not the other is
-    rounded differently. It is then less than 2**-102 code steps, so it
-    never moves a code, but with error feedback on it can change the low
-    bits of a residual of about its own size.
+    The parameters are never dequantized: they work in code units, as their
+    codes cast to float32. The delta below is ``(codes.T @ delta) * 2**e_w
+    * act'``, and the updates are scaled by ``float32(lr) * 2**-e``. A
+    power-of-two scale commutes with float32 rounding, so ``_requantize_params``
+    rounds the same values a dequantize, update and divide in real units
+    would give, except where an intermediate is subnormal (below 2**-126) in
+    one unit but not the other. That never moves a code, but with error
+    feedback on it can change the low bits of a tiny residual.
 
     At most one layer's parameters and two activation vectors exist in
     float at any moment; the returned stats carry the measured high-water

@@ -113,11 +113,6 @@ class TestLoadCsvGeneric:
         with pytest.raises(DataError):
             load_csv_generic(p, 2)
 
-    def test_header_flag(self, tmp_path):
-        p = write(tmp_path / "g.csv", "a,b,y\n1,2,0\n3,4,1\n")
-        ds = load_csv_generic(p, 2, has_header=True)
-        assert ds.n == 2
-
 
 class TestSynthCogdist:
     def test_shape(self):

@@ -109,6 +109,50 @@ class TestFormatErrors:
         with pytest.raises(FormatError):
             load_model(path)
 
+    def test_layer_chain_mismatch_names_the_in_dim_field(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_model(build_model("car_evaluation", 0), path)
+        data = bytearray(path.read_bytes())
+        offset = 9 + 5 * 2  # layer 2's header, whose first field is in_dim
+        data[offset : offset + 2] = struct.pack("<H", 17)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="between layers 1 and 2") as ei:
+            load_model(path)
+        assert ei.value.offset == offset == 19
+
+    @pytest.mark.parametrize("k, what", [
+        (0, "weight"), (1, "input"), (2, "pre-activation"), (3, "activation"),
+    ])
+    def test_bad_exponent_names_its_own_byte(self, tmp_path, k, what):
+        path = tmp_path / "q.bin"
+        save_model(quantize_model(build_model("car_evaluation", 0)), path)
+        data = bytearray(path.read_bytes())
+        # header | layer 0 exponents: weight, input, pre-activation, activation
+        offset = 9 + 5 * 3 + k
+        data[offset] = 100
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"layer 0 {what} exponent 100") as ei:
+            load_model(path)
+        assert ei.value.offset == offset
+
+    def test_input_exponent_chain_names_the_input_exponent_byte(self, quantized_model, tmp_path):
+        path = tmp_path / "q.bin"
+        save_model(quantized_model, path)
+        first = quantized_model.layers[0]
+        # header | layer 0 block | layer 1 weight exponent, then its input exponent
+        offset = (
+            9 + 5 * len(quantized_model.layers)
+            + 4 + first.out_dim * first.in_dim + 4 * first.out_dim + 256
+            + 1
+        )
+        data = bytearray(path.read_bytes())
+        assert struct.unpack_from("<b", data, offset)[0] == first.act_params.exponent
+        data[offset] = (first.act_params.exponent + 1) & 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="layer 1 input exponent") as ei:
+            load_model(path)
+        assert ei.value.offset == offset
+
     @pytest.mark.parametrize("code", [2**31 - 1, -(2**31)])
     def test_bias_code_outside_accumulator_bound(self, quantized_model, tmp_path, code):
         path = tmp_path / "q.bin"

@@ -52,7 +52,6 @@ def make_qlayer(w_codes, bias_codes, in_e=-7, w_e=-7, preact_e=-7, act="tanh"):
         biases_q=np.asarray(bias_codes, dtype=np.int32),
         in_params=QuantParams(in_e),
         lut=build_lut(act, preact, out),
-        activation=act,
     )
 
 
@@ -129,15 +128,16 @@ class TestModel:
             Model([first, make_qlayer(np.ones((1, 2)), [0], in_e=-5)])
         Model([first, make_qlayer(np.ones((1, 2)), [0], in_e=-7)])
 
-    def test_activation_must_match_the_lut(self):
-        # the forward pass would read the tanh table while the backward pass
-        # applied the sigmoid derivative
-        layer = make_qlayer([[1, 2]], [0], act="tanh")
-        with pytest.raises(InvariantError, match="differs from its LUT"):
-            QDenseLayer(layer.weights_q, layer.biases_q, layer.in_params, layer.lut, "sigmoid")
-        unnamed = ActivationLUT(layer.lut.table, layer.lut.in_params, layer.lut.out_params)
-        with pytest.raises(InvariantError, match="differs from its LUT"):
-            QDenseLayer(layer.weights_q, layer.biases_q, layer.in_params, unnamed, "tanh")
+    def test_activation_is_read_from_the_lut(self):
+        # the layer cannot name another activation than its table's: the
+        # backward pass applies the derivative of the one the LUT holds
+        for act in ("tanh", "sigmoid"):
+            layer = make_qlayer([[1, 2]], [0], act=act)
+            assert layer.activation == layer.lut.activation == act
+        with pytest.raises(TypeError):
+            QDenseLayer(layer.weights_q, layer.biases_q, layer.in_params, layer.lut, "tanh")
+        with pytest.raises(ConfigurationError, match="unknown activation"):
+            ActivationLUT(layer.lut.table, layer.lut.in_params, layer.lut.out_params, "relu")
 
     def test_quantized_scales_read_from_lut(self):
         layer = make_qlayer([[1, 2]], [0], preact_e=-5)

@@ -134,7 +134,6 @@ def qlayers(draw, in_dim=None, in_e=None, w_exps=st.integers(-16, 0)):
         biases_q=np.array(biases, dtype=np.int32),
         in_params=QuantParams(in_e),
         lut=build_lut(act, preact, out),
-        activation=act,
     )
 
 
@@ -167,7 +166,6 @@ class TestKernel:
             biases_q=np.array([limit, -limit], dtype=np.int32),
             in_params=QuantParams(0),
             lut=build_lut("tanh", preact, out),
-            activation="tanh",
         )
         x = np.full(in_dim, -128, dtype=np.int8)
         assert limit + 2**14 * in_dim == ACC_MAX
@@ -214,7 +212,6 @@ def wide_case(w, x, right, targets):
         biases_q=np.array(biases, dtype=np.int32),
         in_params=QuantParams(in_e),
         lut=ActivationLUT(np.arange(CODE_MIN, CODE_MAX + 1), preact, preact, "tanh"),
-        activation="tanh",
     )
     return layer, x
 
@@ -297,7 +294,6 @@ class TestRequantizeParams:
             biases_q=np.zeros(2, dtype=np.int32),
             in_params=QuantParams(in_e),
             lut=build_lut("tanh", preact, out),
-            activation="tanh",
         )
         limit = bias_code_limit(in_dim)
         b_step = 2.0 ** layer.bias_exponent
@@ -430,7 +426,6 @@ class TestBackwardHybridInCodeUnits:
             biases_q=np.zeros(1, dtype=np.int32),
             in_params=QuantParams(-7),
             lut=build_lut("tanh", preact, out),
-            activation="tanh",
         )
         return Model([layer])
 

@@ -214,7 +214,7 @@ class TestLUT:
     def test_gather_equals_offset_index_for_every_code(self, shape, transpose):
         # a scrambled table, so an off-by-one or sign slip in the index shows
         table = np.random.default_rng(3).integers(-128, 128, 256).astype(np.int8)
-        lut = ActivationLUT(table, QuantParams(-4), QuantParams(-7))
+        lut = ActivationLUT(table, QuantParams(-4), QuantParams(-7), "tanh")
         codes = np.arange(-128, 128, dtype=np.int8).reshape(shape)
         if transpose:
             codes = codes.T
@@ -231,4 +231,4 @@ class TestLUT:
 
     def test_table_shape_enforced(self):
         with pytest.raises(InvariantError):
-            ActivationLUT(np.zeros(255, dtype=np.int8), QuantParams(-4), QuantParams(-7))
+            ActivationLUT(np.zeros(255, dtype=np.int8), QuantParams(-4), QuantParams(-7), "tanh")
