@@ -30,7 +30,7 @@ CAR_CLASSES = ("unacc", "acc", "good", "vgood")
 CAR_CANONICAL_ROWS = 1728
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Feature matrix [n x d] plus targets [n x c] (c=1 binary, else one-hot).
 

@@ -14,9 +14,13 @@ _F32_ONE_BITS = 127 << 23  # exponent-field bias of float32 1.0
 _EXP_SLOPE = float(1 << 23) / np.log(2.0)
 
 # fast_exp input clamp; beyond this the assembled bit pattern would leave the
-# finite float32 range.
+# finite float32 range. The clamp is applied on the scaled axis z = x*slope:
+# the float64 multiply by a positive constant is monotone, so clamping z to
+# the scaled bounds gives the z that clamping x first would.
 _EXP_X_MIN = -87.0
 _EXP_X_MAX = 88.0
+_EXP_Z_MIN = _EXP_X_MIN * _EXP_SLOPE
+_EXP_Z_MAX = _EXP_X_MAX * _EXP_SLOPE
 
 
 # h, the largest float below 0.5 in each precision _round_half_away serves
@@ -80,52 +84,78 @@ def fast_power_of_two(k):
     return 1 << k
 
 
+def _exp_bits(z):
+    """The float32s whose bits are round(z) + bits(1.0), for a clamped z.
+
+    z is a float64 array (ndim >= 1) already clamped to
+    [_EXP_Z_MIN, _EXP_Z_MAX]; it is overwritten. Rounded, z lies in
+    [-1_052_891_675, 1_064_993_878], so adding bits(1.0) = 1_065_353_216
+    stays inside int32 (below 2**31) and gives the bits of a positive
+    finite float32.
+    """
+    bits = _round_half_away(z, dtype=np.int32, out=z)
+    bits += _F32_ONE_BITS
+    return bits.view(np.float32)
+
+
 def fast_exp(x):
     """Approximate e**x by assembling a float32 bit pattern.
 
     round(slope*x) + bits(1.0) is interpreted as the bits of a float32: the
     integer part of slope*x lands in the exponent field and the remainder
-    linearly interpolates the mantissa. Inputs are clamped to (-87, 88) to
-    keep the pattern inside the finite range. fast_exp(0) == 1.0 exactly.
+    linearly interpolates the mantissa. z = slope*x is computed in float64
+    and clamped to [-87*slope, 88*slope], which equals clamping x to
+    [-87, 88] first, and keeps the pattern inside the finite range and the
+    sum inside int32 (see ``_exp_bits``). fast_exp(0) == 1.0 exactly. NaN
+    input gives an unspecified output.
     """
+    if np.ndim(x) == 0:
+        return fast_exp(np.reshape(x, 1))[0]
+    z = np.multiply(x, _EXP_SLOPE, dtype=np.float64)
     # The clip method, not np.clip: it skips np.clip's dispatch layers, which
     # cost more than the clamp itself on a step-sized array.
-    arr = np.asarray(x, dtype=np.float64).clip(_EXP_X_MIN, _EXP_X_MAX)
-    scaled = _round_half_away(arr * _EXP_SLOPE, dtype=np.int64)
-    bits = (scaled + _F32_ONE_BITS).astype(np.int32)
-    out = bits.view(np.float32)
-    if np.ndim(x) == 0:
-        return np.float32(out[()])
-    return out
+    return _exp_bits(z.clip(_EXP_Z_MIN, _EXP_Z_MAX, out=z))
+
+
+def _fast_exp_neg(ax, k):
+    """fast_exp(-k*ax) for a float32 array ax >= 0 (ndim >= 1), k in {1, 2}.
+
+    One float64 multiply by -k*slope (exact, as k is a power of two) gives
+    the z fast_exp computes from the float32 -k*ax: -k*ax is exact in
+    float32 unless it overflows to -inf (|ax| > FLT_MAX/2 for k = 2), and
+    that clamps to the same bound. The argument is never positive, so only
+    the lower bound can bind.
+    """
+    z = np.multiply(ax, -k * _EXP_SLOPE, dtype=np.float64)
+    return _exp_bits(np.maximum(z, _EXP_Z_MIN, out=z))
 
 
 def tanh_f(x):
     """tanh via fast_exp: (1 - e^{-2|x|}) / (1 + e^{-2|x|}), sign restored.
 
     Evaluating on |x| keeps the function odd to float32 exactness even
-    though fast_exp(-y) * fast_exp(y) is only approximately 1.
+    though fast_exp(-y) * fast_exp(y) is only approximately 1. NaN input
+    gives an unspecified output.
     """
     xf = np.asarray(x, dtype=np.float32)
-    e = fast_exp(-2.0 * np.abs(xf))
-    t = (1.0 - e) / (1.0 + e)
-    out = np.copysign(t, xf).astype(np.float32)
-    if np.ndim(x) == 0:
-        return np.float32(out[()])
-    return out
+    if xf.ndim == 0:
+        return tanh_f(xf.reshape(1))[0]
+    e = _fast_exp_neg(np.abs(xf), 2)
+    return np.copysign((1.0 - e) / (1.0 + e), xf)
 
 
 def sigmoid_f(x):
     """Logistic function via fast_exp, symmetric by construction.
 
     The p >= 0.5 branch is computed from 1/(1 + e^{-|x|}) and mirrored, so
-    sigmoid_f(x) + sigmoid_f(-x) == 1 in float32 exactly.
+    sigmoid_f(x) + sigmoid_f(-x) == 1 in float32 exactly. NaN input gives
+    an unspecified output.
     """
     xf = np.asarray(x, dtype=np.float32)
-    p = 1.0 / (1.0 + fast_exp(-np.abs(xf)))
-    out = np.where(xf >= 0, p, 1.0 - p).astype(np.float32)
-    if np.ndim(x) == 0:
-        return np.float32(out[()])
-    return out
+    if xf.ndim == 0:
+        return sigmoid_f(xf.reshape(1))[0]
+    p = 1.0 / (1.0 + _fast_exp_neg(np.abs(xf), 1))
+    return np.where(xf >= 0, p, 1.0 - p)
 
 
 def tanh_ref(x):

@@ -12,7 +12,7 @@ from .errors import ConfigurationError, InvariantError
 from .nn import FULL, predict_full, predict_int8, predict_labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Metrics:
     """Confusion matrix (rows = true, cols = predicted) and derived scores."""
 

@@ -56,7 +56,7 @@ def bias_code_limit(in_dim):
     return _INT32_MAX - _PRODUCT_MAX * in_dim
 
 
-@dataclass
+@dataclass(eq=False)
 class DenseLayer:
     """Fully-connected layer: weights [out x in], biases [out], activation id."""
 
@@ -87,7 +87,7 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class QDenseLayer:
     """Quantized dense layer.
 
@@ -150,7 +150,7 @@ class QDenseLayer:
         return self.bias_exponent - self.preact_params.exponent
 
 
-@dataclass
+@dataclass(eq=False)
 class Model:
     """Ordered dense layers; the layers are the whole model.
 
@@ -226,7 +226,7 @@ def build_model(spec, seed):
     return Model(layers)
 
 
-@dataclass
+@dataclass(eq=False)
 class FullTrace:
     """Forward-pass record for the full model: the input and a per layer."""
 
@@ -238,7 +238,7 @@ class FullTrace:
         return self.acts[-1]
 
 
-@dataclass
+@dataclass(eq=False)
 class QTrace:
     """Forward-pass record for the quantized model: the input and a per
     layer, all as codes."""
@@ -255,16 +255,17 @@ def forward_full(m, x, math_mode="reference"):
     """Dense forward pass: z = W a + b, a = act(z); returns the full trace."""
     if m.representation != FULL:
         raise InvariantError("forward_full requires a full-precision model")
-    a = np.asarray(x, dtype=np.float32)
-    if a.shape != (m.input_dim,):
+    x = np.asarray(x, dtype=np.float32)
+    if x.shape != (m.input_dim,):
         raise InvariantError(
-            f"input shape {a.shape} does not match input_dim {m.input_dim}"
+            f"input shape {x.shape} does not match input_dim {m.input_dim}"
         )
+    a = x
     acts = []
     for layer in m.layers:
         a = activation_fn(layer.activation, math_mode)(layer.weights @ a + layer.biases)
         acts.append(a)
-    return FullTrace(np.asarray(x, dtype=np.float32), acts)
+    return FullTrace(x, acts)
 
 
 def predict_full(m, X, math_mode="reference"):

@@ -54,7 +54,7 @@ class QuantParams:
         return 2.0 ** self.exponent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QTensor:
     """Signed 8-bit code buffer plus its quantization parameters.
 
@@ -94,7 +94,7 @@ def _from_codes(codes, params):
     return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActivationLUT:
     """256-entry int8 -> int8 activation table, indexed by input code + 128,
     and the name of the activation it was built from."""

@@ -178,7 +178,7 @@ class HybridBackwardStats:
     peak_param_floats: int
 
 
-@dataclass
+@dataclass(eq=False)
 class FeedbackState:
     """Optional error-feedback residuals, one float buffer per parameter tensor.
 
