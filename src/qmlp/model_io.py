@@ -10,9 +10,10 @@ Layout (little-endian):
                    weight codes i8[out*in], bias codes i32[out], LUT i8[256]
 
 Any structural problem (bad magic, unknown version, truncation, trailing
-bytes, a non-finite float parameter, inconsistent exponents, a bias code
-outside the layer's int32 accumulator bound) raises FormatError with the
-byte offset; no partial model is ever returned.
+bytes, a non-finite float parameter, inconsistent exponents, a requantize
+shift outside [-31, 31], a bias code outside the layer's int32 accumulator
+bound) raises FormatError with the byte offset; no partial model is ever
+returned.
 """
 
 import struct
@@ -22,7 +23,14 @@ import numpy as np
 
 from .errors import FormatError
 from .nn import FULL, QUANTIZED, DenseLayer, Model, QDenseLayer, bias_code_limit
-from .quant import EXPONENT_MAX, EXPONENT_MIN, ActivationLUT, QTensor, QuantParams
+from .quant import (
+    EXPONENT_MAX,
+    EXPONENT_MIN,
+    SHIFT_MAX,
+    ActivationLUT,
+    QTensor,
+    QuantParams,
+)
 
 MAGIC = b"DCV1"
 FORMAT_VERSION = 1
@@ -143,6 +151,13 @@ def load_model(path):
                     f"layer {i} input exponent {in_exp} does not chain from "
                     f"previous activation exponent {prev_act_exp}",
                     offset=at + 1,
+                )
+            shift = in_exp + w_exp - preact_exp
+            if not -SHIFT_MAX <= shift <= SHIFT_MAX:
+                raise FormatError(
+                    f"layer {i} requantize shift {shift} (input {in_exp} + weight "
+                    f"{w_exp} - pre-activation {preact_exp}) outside [-31, 31]",
+                    offset=at + 2,
                 )
             prev_act_exp = act_exp
             codes = r.array(np.int8, out_dim * in_dim, f"layer {i} weight codes")

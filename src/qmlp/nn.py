@@ -20,11 +20,12 @@ from .quant import (
     DEFAULT_ACTIVATION_EXPONENT,
     DEFAULT_PREACT_EXPONENT,
     DEFAULT_ZERO_EXPONENT,
+    SHIFT_MAX,
     ActivationLUT,
     QTensor,
     QuantParams,
     _from_codes,
-    _lut_gather,
+    _requantize_lut,
     apply_lut,
     build_lut,
     choose_exponent,
@@ -96,7 +97,9 @@ class QDenseLayer:
     magnitude is bounded by ``bias_code_limit(in_dim)`` when the layer is
     built, which proves the kernel's accumulator never leaves int32; the
     kernel itself does not check it again. Code that assigns new bias codes
-    afterwards (the hybrid trainer) clamps them to the same limit.
+    afterwards (the hybrid trainer) clamps them to the same limit. The
+    requantize shift, in + weight - pre-activation exponent, is proven to
+    lie in [-31, 31] when the layer is built, too.
 
     The pre-activation and activation scales are the LUT's input and output
     scales; ``preact_params`` and ``act_params`` are read from ``lut`` once,
@@ -127,6 +130,13 @@ class QDenseLayer:
         self.biases_q = biases.astype(np.int32)
         self.preact_params = self.lut.in_params
         self.act_params = self.lut.out_params
+        shift = self.requantize_shift_amount
+        if not -SHIFT_MAX <= shift <= SHIFT_MAX:
+            raise InvariantError(
+                f"requantize shift {shift} (input e={self.in_params.exponent} + weight "
+                f"e={self.weights_q.params.exponent} - pre-activation "
+                f"e={self.preact_params.exponent}) outside [-31, 31]"
+            )
 
     @property
     def activation(self):
@@ -282,7 +292,8 @@ def predict_full(m, X, math_mode="reference"):
 
 
 def _int8_kernel(codes, layer):
-    """The int8 kernel on input codes [in] or [n x in]: pre-activation codes.
+    """The int8 kernel on input codes [in] or [n x in]: the multiply-
+    accumulate, as a fresh float64 array of integer accumulators.
 
     The products are summed by float64 BLAS, which is exact here: each
     product is an integer of magnitude at most 2**14, so every partial sum
@@ -290,12 +301,11 @@ def _int8_kernel(codes, layer):
     is non-negative for every layer that exists), whatever order or fused
     multiply-add the BLAS uses. The bias codes are added to that float64
     sum, which stays exact because the total is an integer bounded by
-    2**31 - 1, as ``bias_code_limit`` proves, and the sum is requantized to
-    the pre-activation scale.
+    2**31 - 1, as ``bias_code_limit`` proves. Both callers requantize it
+    to the pre-activation scale.
     """
     w = layer.weights_q.codes.astype(np.float64)
-    acc = codes.astype(np.float64) @ w.T + layer.biases_q
-    return requantize_shift(acc, layer.requantize_shift_amount)
+    return codes.astype(np.float64) @ w.T + layer.biases_q
 
 
 def linear_int8(x_q, layer):
@@ -313,7 +323,8 @@ def linear_int8(x_q, layer):
         )
     if x_q.codes.shape != (layer.in_dim,):
         raise InvariantError("kernel input length does not match layer in_dim")
-    return _from_codes(_int8_kernel(x_q.codes, layer), layer.preact_params)
+    acc = _int8_kernel(x_q.codes, layer)
+    return _from_codes(requantize_shift(acc, layer.requantize_shift_amount), layer.preact_params)
 
 
 def forward_int8(m, x_q):
@@ -332,7 +343,9 @@ def predict_int8(m, X):
     """Batched quantized forward pass; returns dequantized outputs [n x c].
 
     Quantizes the float inputs at the model's input scale, then runs the
-    kernel of linear_int8 and the LUT gather of apply_lut on whole batches.
+    multiply-accumulate of linear_int8 on the whole batch, followed by one
+    gather per layer that requantizes and applies the LUT together
+    (``quant._requantize_lut``); the codes equal forward_int8's row by row.
     """
     if m.representation != QUANTIZED:
         raise InvariantError("predict_int8 requires a quantized model")
@@ -341,7 +354,8 @@ def predict_int8(m, X):
         raise InvariantError(f"batch shape {X.shape} does not match input_dim")
     codes = quantize(X, m.layers[0].in_params).codes
     for layer in m.layers:
-        codes = _lut_gather(layer.lut.table, _int8_kernel(codes, layer))
+        acc = _int8_kernel(codes, layer)
+        codes = _requantize_lut(acc, layer.requantize_shift_amount, layer.lut)
     return codes.astype(np.float32) * np.float32(m.layers[-1].act_params.step)
 
 

@@ -10,7 +10,7 @@ across concurrent readers.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,8 +31,23 @@ CODE_MIN = -128
 CODE_MAX = 127
 _CODE_LO, _CODE_HI = float(CODE_MIN), float(CODE_MAX)  # clamp bounds, see _round_half_away
 
+# A layer's requantize shift is proven to lie in [-SHIFT_MAX, SHIFT_MAX] when
+# the layer is built or loaded.
+SHIFT_MAX = 31
+
 # requantize_shift works in place on arrays of at least this many entries.
 _IN_PLACE_MIN_SIZE = 1024
+
+# _requantize_lut clamps 2z to [-256, 255], the range of the fused table's
+# index before its offset of 256.
+_FUSED_LO, _FUSED_HI = -256.0, 255.0
+_FUSED_OFFSET = 256
+# The code that fused-table entry k + 256 reads from the LUT,
+# clamp(round_half_away(k / 2)); the same for every LUT.
+_FUSED_CODES = _round_half_away(
+    np.arange(-_FUSED_OFFSET, _FUSED_OFFSET, dtype=np.float64) / 2, _CODE_LO, _CODE_HI, np.int8
+)
+_FUSED_CODES.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -97,12 +112,20 @@ def _from_codes(codes, params):
 @dataclass(frozen=True, eq=False)
 class ActivationLUT:
     """256-entry int8 -> int8 activation table, indexed by input code + 128,
-    and the name of the activation it was built from."""
+    and the name of the activation it was built from.
+
+    ``fused`` is derived from ``table`` when the LUT is built: 512 int8
+    entries, fused[k + 256] = table[clamp(round_half_away(k / 2)) + 128] for
+    k in [-256, 255], which ``_requantize_lut`` reads to requantize and look
+    up in one gather. It lives in host memory only; the model file and the
+    memory report do not count it.
+    """
 
     table: np.ndarray
     in_params: QuantParams
     out_params: QuantParams
     activation: str
+    fused: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.activation not in ACTIVATION_NAMES:
@@ -112,6 +135,9 @@ class ActivationLUT:
             raise InvariantError(f"LUT table must have 256 entries, got {table.shape}")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
+        fused = _lut_gather(table, _FUSED_CODES)
+        fused.setflags(write=False)
+        object.__setattr__(self, "fused", fused)
 
 
 def choose_exponent(values):
@@ -171,6 +197,33 @@ def requantize_shift(acc, shift):
     if codes.ndim == 0:
         return int(codes)
     return codes
+
+
+def _requantize_lut(acc, shift, lut):
+    """lut.table[requantize_shift(acc, shift) + 128], in one gather.
+
+    ``acc`` is a float64 array of integer accumulators, |acc| < 2**31,
+    that the caller owns: every step works in place on it. The shift is
+    not checked; ``QDenseLayer`` proves it lies in [-31, 31] when built.
+
+    With z = acc * 2**shift and y = 2z, both exact in float64:
+
+    - round_half_away(z) = round_half_away(trunc(y) / 2), because the
+      rounded magnitude floor(|z| + 1/2) = floor((|y| + 1) / 2) depends on
+      |y| only through floor(|y|) = |trunc(y)|.
+    - Clamping y to [-256, 255] before the truncation changes no result:
+      trunc and round_half_away are monotone, and y = -256 and y = 255
+      already round to -128 and 128, at or past the code bounds, so every
+      y beyond either bound clamps to the same code as the bound itself.
+
+    So the result is lut.fused[trunc(clip(y, -256, 255)) + 256]; the int16
+    cast truncates, and the offset keeps the gather's indices non-negative.
+    """
+    y = np.multiply(acc, 2.0 ** (shift + 1), out=acc)
+    y.clip(_FUSED_LO, _FUSED_HI, out=y)
+    k = y.astype(np.int16)
+    k += _FUSED_OFFSET
+    return lut.fused.take(k)
 
 
 def build_lut(activation, in_params, out_params, math_mode="reference"):

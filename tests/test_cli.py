@@ -257,6 +257,26 @@ class TestOutOfBoundBiasCode:
         assert proc.stdout == ""
 
 
+class TestOutOfRangeRequantizeShift:
+    def test_eval_exits_with_one_format_error_line(self, car_file, tmp_path, capsys):
+        path = tmp_path / "q.bin"
+        save_model(quantize_model(build_model("car_evaluation", 7)), path)
+        # magic, version, representation, layer count | three layer headers
+        # | layer 0 weight, input and pre-activation exponents: shift -56
+        offset = 9 + 5 * 3
+        data = bytearray(path.read_bytes())
+        data[offset : offset + 3] = struct.pack("<bbb", -24, -24, 8)
+        path.write_bytes(bytes(data))
+        code, out, err = run(
+            ["eval", str(path), "--arch", "car_evaluation", "--dataset", car_file], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error[format]: layer 0 requantize shift -56 ")
+        assert f"byte offset {offset + 2})" in err
+
+
 class TestNonFiniteFloatParameter:
     def test_eval_exits_with_one_format_error_line(self, car_file, tmp_path, capsys):
         path = tmp_path / "m.bin"

@@ -153,6 +153,22 @@ class TestFormatErrors:
             load_model(path)
         assert ei.value.offset == offset
 
+    @pytest.mark.parametrize("w_e, in_e, preact_e", [(-24, -24, 8), (8, 8, -16)])
+    def test_requantize_shift_names_the_pre_activation_exponent_byte(
+        self, tmp_path, w_e, in_e, preact_e
+    ):
+        path = tmp_path / "q.bin"
+        save_model(quantize_model(build_model("car_evaluation", 0)), path)
+        data = bytearray(path.read_bytes())
+        # header | layer 0 exponents: weight, input, pre-activation, activation
+        offset = 9 + 5 * 3
+        data[offset : offset + 3] = struct.pack("<bbb", w_e, in_e, preact_e)
+        path.write_bytes(bytes(data))
+        shift = in_e + w_e - preact_e  # -56 or 32 from exponents each in range
+        with pytest.raises(FormatError, match=f"layer 0 requantize shift {shift} ") as ei:
+            load_model(path)
+        assert ei.value.offset == offset + 2
+
     @pytest.mark.parametrize("code", [2**31 - 1, -(2**31)])
     def test_bias_code_outside_accumulator_bound(self, quantized_model, tmp_path, code):
         path = tmp_path / "q.bin"

@@ -284,6 +284,19 @@ class TestBiasCodeBound:
             quantize_model(m)
 
 
+class TestRequantizeShiftBound:
+    @pytest.mark.parametrize("in_e, w_e, preact_e", [(-24, -24, 8), (8, 8, -16)])
+    def test_out_of_range_shift_refused_when_built(self, in_e, w_e, preact_e):
+        # shifts -56 and 32
+        with pytest.raises(InvariantError, match="requantize shift"):
+            make_qlayer([[1]], [0], in_e=in_e, w_e=w_e, preact_e=preact_e)
+
+    @pytest.mark.parametrize("in_e, w_e, preact_e", [(-24, -7, 0), (8, 7, -16)])
+    def test_extreme_shifts_accepted(self, in_e, w_e, preact_e):
+        layer = make_qlayer([[1]], [0], in_e=in_e, w_e=w_e, preact_e=preact_e)
+        assert abs(layer.requantize_shift_amount) == 31
+
+
 class TestForwardInt8:
     def test_zero_model_gives_sigmoid_half_codes(self):
         m = build_model((2, [(3, "tanh"), (1, "sigmoid")]), 0)
@@ -315,16 +328,32 @@ class TestForwardInt8:
                 hits += 1
         assert hits / len(X) >= 0.95
 
-    def test_predict_int8_matches_per_sample(self, rng):
-        m = build_model("car_evaluation", 3)
-        q = quantize_model(m)
-        X = rng.uniform(-1, 1, size=(20, 6)).astype(np.float32)
+    @staticmethod
+    def assert_predict_int8_matches_per_sample(X):
+        q = quantize_model(build_model("car_evaluation", 3))
+        before = X.copy()
         batch = predict_int8(q, X)
+        np.testing.assert_array_equal(X, before)
+        assert batch.shape == (len(X), 4) and batch.dtype == np.float32
         in_params = q.layers[0].in_params
-        step = q.layers[-1].act_params.step
-        for i in range(20):
+        for i in range(len(X)):
             tr = forward_int8(q, QTensor(quantize(X[i], in_params).codes, in_params))
-            np.testing.assert_allclose(batch[i], tr.output.codes.astype(np.float32) * step)
+            assert batch[i].tobytes() == dequantize(tr.output).tobytes()
+
+    def test_predict_int8_matches_per_sample(self, rng):
+        self.assert_predict_int8_matches_per_sample(
+            rng.uniform(-1.5, 1.5, size=(20, 6)).astype(np.float32)
+        )
+
+    @pytest.mark.parametrize("layout", ["0-rows", "1-row", "fortran", "negative-stride"])
+    def test_predict_int8_matches_per_sample_in_every_layout(self, rng, layout):
+        rows = {"0-rows": 0, "1-row": 1}.get(layout, 20)
+        X = rng.uniform(-1.5, 1.5, size=(rows, 6)).astype(np.float32)
+        if layout == "fortran":
+            X = np.asfortranarray(X)
+        elif layout == "negative-stride":
+            X = X[::-1]
+        self.assert_predict_int8_matches_per_sample(X)
 
     def test_wrong_representation(self):
         m = build_model("cogdist", 0)

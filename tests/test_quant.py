@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from qmlp.quant import (
     QTensor,
     QuantParams,
     _lut_gather,
+    _requantize_lut,
     apply_lut,
     build_lut,
     choose_exponent,
@@ -160,6 +164,79 @@ class TestRequantizeShift:
             requantize_shift(1, 32)
         with pytest.raises(InvariantError):
             requantize_shift(1, -32)
+
+
+ACC_MAX = 2**31 - 1
+# a scrambled table, so an off-by-one or sign slip in an index shows
+SCRAMBLED_LUT = ActivationLUT(
+    np.random.default_rng(3).integers(-128, 128, 256), QuantParams(-4), QuantParams(-7), "tanh"
+)
+
+
+def fused_cell_ends(shift):
+    """(smallest, largest) integer accumulator in |acc| <= 2**31 - 1 whose
+    fused-table index trunc(clip(acc * 2**(shift + 1), -256, 255)) is k, for
+    every k in [-256, 255] whose cell holds an integer."""
+    m = Fraction(2) ** (shift + 1)
+    ends = []
+    for k in range(-256, 256):
+        if k == -256:  # y <= -256
+            lo, hi = -ACC_MAX, math.floor(-256 / m)
+        elif k == 255:  # y >= 255
+            lo, hi = math.ceil(255 / m), ACC_MAX
+        elif k > 0:  # k <= y < k + 1
+            lo, hi = math.ceil(k / m), math.ceil((k + 1) / m) - 1
+        elif k < 0:  # k - 1 < y <= k
+            lo, hi = math.floor((k - 1) / m) + 1, math.floor(k / m)
+        else:  # -1 < y < 1
+            lo, hi = math.floor(-1 / m) + 1, math.ceil(1 / m) - 1
+        lo, hi = max(lo, -ACC_MAX), min(hi, ACC_MAX)
+        if lo <= hi:
+            ends.append((lo, hi))
+    return ends
+
+
+def lut_of_requantize(acc, shift, lut=SCRAMBLED_LUT):
+    codes = requantize_shift(np.asarray(acc, dtype=np.int64), shift)
+    return lut.table[np.asarray(codes, dtype=np.int16) + 128]
+
+
+class TestRequantizeLut:
+    @pytest.mark.parametrize("shift", range(-31, 32))
+    def test_every_cell_end_and_its_neighbours(self, shift):
+        ends = fused_cell_ends(shift)
+        accs = sorted({a + d for lo, hi in ends for a in (lo, hi) for d in (-1, 0, 1)})
+        accs = np.array([a for a in accs if abs(a) <= ACC_MAX], dtype=np.int64)
+        assert {-ACC_MAX, ACC_MAX} <= set(accs.tolist())
+        got = _requantize_lut(accs.astype(np.float64), shift, SCRAMBLED_LUT)
+        np.testing.assert_array_equal(got, lut_of_requantize(accs, shift))
+
+    @pytest.mark.parametrize("shift", range(-31, 0))
+    def test_tie_points(self, shift):
+        # acc = (2j + 1) * 2**(-shift - 1) puts acc * 2**shift on j + 1/2,
+        # for every j whose code is in or next to [-128, 127]
+        half = 1 << (-shift - 1)
+        accs = [(2 * j + 1) * half for j in range(-130, 130)]
+        accs = np.array([a for a in accs if abs(a) <= ACC_MAX], dtype=np.int64)
+        got = _requantize_lut(accs.astype(np.float64), shift, SCRAMBLED_LUT)
+        np.testing.assert_array_equal(got, lut_of_requantize(accs, shift))
+
+    @pytest.mark.parametrize("shape", [(), (1, 7), (5, 7)])
+    @pytest.mark.parametrize("shift", [-31, -9, 0, 31])
+    def test_shapes(self, shape, shift):
+        rng = np.random.default_rng(5)
+        size = math.prod(shape)
+        # magnitudes from 2**31 down to 1, so every shift sees codes off the rails
+        accs = rng.integers(-ACC_MAX, ACC_MAX + 1, size) >> rng.integers(0, 31, size)
+        accs = accs.reshape(shape)
+        got = _requantize_lut(accs.astype(np.float64), shift, SCRAMBLED_LUT)
+        assert np.shape(got) == shape
+        np.testing.assert_array_equal(got, lut_of_requantize(accs, shift))
+
+    def test_fused_table_is_read_only_and_512_bytes(self):
+        fused = build_lut("tanh", QuantParams(-4), QuantParams(-7)).fused
+        assert fused.dtype == np.int8 and fused.shape == (512,)
+        assert not fused.flags.writeable
 
 
 class TestLUT:
