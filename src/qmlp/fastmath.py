@@ -21,6 +21,8 @@ _EXP_X_MIN = -87.0
 _EXP_X_MAX = 88.0
 _EXP_Z_MIN = _EXP_X_MIN * _EXP_SLOPE
 _EXP_Z_MAX = _EXP_X_MAX * _EXP_SLOPE
+# _fast_exp_neg's float32 bound on |x| for each k: 87/k, as (87/k)*k = 87
+_EXP_NEG_AX_MAX = {k: np.float32(-_EXP_X_MIN / k) for k in (1, 2)}
 
 
 # h, the largest float below 0.5 in each precision _round_half_away serves
@@ -50,6 +52,11 @@ def _round_half_away(x, lo=None, hi=None, dtype=None, out=None):
     ``x + copysign(0.5, x)`` fails the first and last cases: the add ties to
     even, so the largest float below 0.5 rounds to 1, and odd integers in
     [2**(p-1), 2**p) round up by one.
+
+    Corollary for z <= 0: copysign(h, z) is -h (z = +0 gives 0 either way),
+    and z - h is the exact negation of |z| + h, so the rule is trunc(z - h),
+    one subtraction with no copysign pass. ``_fast_exp_neg``, whose z is
+    never positive, is its one user.
 
     ``lo``/``hi``, integers as floats, clamp before the truncation; numpy
     resolves the type of an int bound on every call. ``dtype`` truncates by
@@ -84,16 +91,12 @@ def fast_power_of_two(k):
     return 1 << k
 
 
-def _exp_bits(z):
-    """The float32s whose bits are round(z) + bits(1.0), for a clamped z.
-
-    z is a float64 array (ndim >= 1) already clamped to
-    [_EXP_Z_MIN, _EXP_Z_MAX]; it is overwritten. Rounded, z lies in
-    [-1_052_891_675, 1_064_993_878], so adding bits(1.0) = 1_065_353_216
-    stays inside int32 (below 2**31) and gives the bits of a positive
-    finite float32.
+def _exp_bits(bits):
+    """The float32s whose bits are bits + bits(1.0), for int32 bits = round(z)
+    with z in [_EXP_Z_MIN, _EXP_Z_MAX]; bits is overwritten. round(z) lies in
+    [-1_052_891_675, 1_064_993_878], so the sum stays inside int32 (below
+    2**31) and gives the bits of a positive finite float32.
     """
-    bits = _round_half_away(z, dtype=np.int32, out=z)
     bits += _F32_ONE_BITS
     return bits.view(np.float32)
 
@@ -114,20 +117,23 @@ def fast_exp(x):
     z = np.multiply(x, _EXP_SLOPE, dtype=np.float64)
     # The clip method, not np.clip: it skips np.clip's dispatch layers, which
     # cost more than the clamp itself on a step-sized array.
-    return _exp_bits(z.clip(_EXP_Z_MIN, _EXP_Z_MAX, out=z))
+    z = z.clip(_EXP_Z_MIN, _EXP_Z_MAX, out=z)
+    return _exp_bits(_round_half_away(z, dtype=np.int32, out=z))
 
 
 def _fast_exp_neg(ax, k):
     """fast_exp(-k*ax) for a float32 array ax >= 0 (ndim >= 1), k in {1, 2}.
 
-    One float64 multiply by -k*slope (exact, as k is a power of two) gives
-    the z fast_exp computes from the float32 -k*ax: -k*ax is exact in
-    float32 unless it overflows to -inf (|ax| > FLT_MAX/2 for k = 2), and
-    that clamps to the same bound. The argument is never positive, so only
-    the lower bound can bind.
+    ax is clamped to 87/k in float32, then multiplied in float64 by -k*slope
+    (exact, as k is a power of two). Below the bound this is the z fast_exp
+    computes from the float32 -k*ax (exact in float32 unless it overflows to
+    -inf, which clamps), and it is never below -87*slope. At the bound it is
+    (87/k)*(k*slope) = 87*slope as reals, so z rounds to _EXP_Z_MIN, the z
+    the scaled-axis clamp gives. As z <= 0, ``_round_half_away`` is
+    trunc(z - h).
     """
-    z = np.multiply(ax, -k * _EXP_SLOPE, dtype=np.float64)
-    return _exp_bits(np.maximum(z, _EXP_Z_MIN, out=z))
+    z = np.multiply(np.minimum(ax, _EXP_NEG_AX_MAX[k]), -k * _EXP_SLOPE, dtype=np.float64)
+    return _exp_bits((z - _BELOW_HALF[z.dtype]).astype(np.int32))
 
 
 def tanh_f(x):

@@ -286,7 +286,8 @@ def predict_full(m, X, math_mode="reference"):
     if A.ndim != 2 or A.shape[1] != m.input_dim:
         raise InvariantError(f"batch shape {A.shape} does not match input_dim")
     for layer in m.layers:
-        Z = A @ layer.weights.T + layer.biases
+        Z = A @ layer.weights.T
+        Z += layer.biases
         A = activation_fn(layer.activation, math_mode)(Z)
     return A
 

@@ -35,9 +35,6 @@ _CODE_LO, _CODE_HI = float(CODE_MIN), float(CODE_MAX)  # clamp bounds, see _roun
 # the layer is built or loaded.
 SHIFT_MAX = 31
 
-# requantize_shift works in place on arrays of at least this many entries.
-_IN_PLACE_MIN_SIZE = 1024
-
 # _requantize_lut clamps 2z to [-256, 255], the range of the fused table's
 # index before its offset of 256.
 _FUSED_LO, _FUSED_HI = -256.0, 255.0
@@ -188,12 +185,7 @@ def requantize_shift(acc, shift):
     if not -31 <= shift <= 31:
         raise InvariantError(f"requantize shift {shift} outside [-31, 31]")
     z = np.multiply(acc, 2.0**shift, dtype=np.float64)
-    # On a large array the rounding works in place on z, a fresh temporary
-    # (never the caller's acc), saving a temporary per step. Below about 1k
-    # entries that saves nothing, and on a one-element array an in-place
-    # ufunc call costs about 1 us more.
-    out = z if z.size >= _IN_PLACE_MIN_SIZE else None
-    codes = _round_half_away(z, _CODE_LO, _CODE_HI, np.int8, out)
+    codes = _round_half_away(z, _CODE_LO, _CODE_HI, np.int8)
     if codes.ndim == 0:
         return int(codes)
     return codes

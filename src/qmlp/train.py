@@ -83,7 +83,8 @@ def mse_loss(output, target):
     t = np.asarray(target, dtype=np.float64)
     if o.shape != t.shape:
         raise InvariantError(f"loss shapes differ: {o.shape} vs {t.shape}")
-    return float(np.mean((o - t) ** 2))
+    d = o - t
+    return float(np.add.reduce(d * d, axis=None) / d.size)
 
 
 def backward_lsgd(trace, target, m, lr):

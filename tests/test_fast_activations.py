@@ -3,18 +3,23 @@
 The oracle below is the earlier implementation, kept as it was: clamp x in
 float64, multiply by the slope, round half away from zero into int64, add
 bits(1.0), cast to int32; tanh and sigmoid build -2|x| and -|x| in float32
-and call that exp. The library now clamps on the scaled axis, folds -k into
-the slope and assembles the bits in int32. Every non-NaN float32 input must
-give the oracle's output bits (NaN output is unspecified). The tier-1 cases
-cover the signed zeros and infinities, the subnormal and normal extremes,
-the float32 neighbours of the clamp bounds and a million random bit
-patterns; the sweep of every float32 is marked ``slow``.
+and call that exp. The library assembles the bits in int32. ``fast_exp``
+clamps on the scaled axis z = slope*x and rounds with ``_round_half_away``.
+Behind tanh and sigmoid, ``_fast_exp_neg`` clamps |x| to 87/k in float32,
+folds -k into the slope, and rounds its z <= 0 by trunc(z - h), one
+subtraction. Every non-NaN float32 input must give the oracle's output bits
+(NaN output is unspecified). The tier-1 cases cover the signed zeros and
+infinities, the subnormal and normal extremes, the float32 neighbours of
+the clamp bounds, a million random bit patterns, and ``predict_full``'s
+fast batches against an oracle pipeline; the sweep of every float32 is
+marked ``slow``.
 """
 
 import numpy as np
 import pytest
 
 from qmlp.fastmath import fast_exp, sigmoid_f, tanh_f
+from qmlp.nn import ARCHITECTURES, build_model, predict_full
 
 ORACLE_SLOPE = float(1 << 23) / np.log(2.0)
 ORACLE_ONE_BITS = 127 << 23
@@ -79,6 +84,13 @@ def signed(x):
     return np.concatenate([x, -x])
 
 
+def clamp_neighbours():
+    """[len(CLAMP_POINTS) x (2*NEIGHBOURS + 1)] float32s around each clamp point."""
+    centres = np.array(CLAMP_POINTS, dtype=np.float32).view(np.uint32)
+    steps = np.arange(-NEIGHBOURS, NEIGHBOURS + 1, dtype=np.int64)
+    return (centres[:, None].astype(np.int64) + steps).astype(np.uint32).view(np.float32)
+
+
 def check_bits(fn, oracle, x):
     x = np.asarray(x, dtype=np.float32)
     with np.errstate(over="ignore"):  # the oracle's -2|x| overflows near FLT_MAX
@@ -95,10 +107,11 @@ class TestSameBitsAsOracle:
         check_bits(fn, oracle, signed(EDGES))
 
     def test_neighbours_of_the_clamp_bounds(self, fn, oracle):
-        centres = np.array(CLAMP_POINTS, dtype=np.float32).view(np.uint32)
-        steps = np.arange(-NEIGHBOURS, NEIGHBOURS + 1, dtype=np.int64)
-        bits = (centres[:, None].astype(np.int64) + steps).astype(np.uint32)
-        check_bits(fn, oracle, signed(bits.ravel().view(np.float32)))
+        check_bits(fn, oracle, signed(clamp_neighbours().ravel()))
+
+    def test_neighbours_of_the_clamp_bounds_as_a_batch(self, fn, oracle):
+        # one row per clamp point and sign, NEIGHBOURS steps either side
+        check_bits(fn, oracle, signed(clamp_neighbours()))
 
     def test_random_bit_patterns(self, fn, oracle):
         bits = np.random.default_rng(2024).integers(0, 1 << 32, 1_000_000, dtype=np.uint32)
@@ -116,6 +129,26 @@ class TestSameBitsAsOracle:
             got = fn(arg)
             assert type(got) is np.float32
             assert got.view(np.uint32) == want.view(np.uint32)
+
+
+ORACLE_ACTIVATIONS = {"tanh": oracle_tanh, "sigmoid": oracle_sigmoid}
+
+
+@pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+def test_predict_full_fast_matches_the_oracle_pipeline(arch):
+    rng = np.random.default_rng(7)
+    m = build_model(arch, seed=3)
+    for layer in m.layers:
+        layer.biases[:] = rng.normal(0.0, 2.0, layer.biases.shape)
+    # wide inputs, so the first layer's pre-activations pass the clamp points
+    X = rng.normal(0.0, 40.0, (1024, m.input_dim)).astype(np.float32)
+    X[:4] = [[43.5], [-87.0], [88.0], [-1e30]]
+    A = X
+    for layer in m.layers:
+        A = ORACLE_ACTIVATIONS[layer.activation](A @ layer.weights.T + layer.biases)
+    got = predict_full(m, X, "fast")
+    assert got.dtype == np.float32 and got.shape == A.shape
+    np.testing.assert_array_equal(got.view(np.uint32), A.view(np.uint32))
 
 
 @pytest.mark.slow

@@ -149,13 +149,13 @@ class TestRequantizeShift:
             np.testing.assert_array_equal(requantize_shift(acc, shift), exact)
 
     @pytest.mark.parametrize("shift", [-31, -9, -1, 0, 1, 31])
-    @pytest.mark.parametrize("rows", [1, 1024])  # below and above the in-place size
+    @pytest.mark.parametrize("rows", [1, 1024])  # one row and a batch-sized array
     def test_accumulator_argument_is_not_written(self, shift, rows):
         acc = np.tile([-(2**31) + 1, -384, -1, 0, 64, 2**31 - 1], (rows, 1)).astype(np.int64)
         before = acc.copy()
         got = requantize_shift(acc, shift)
         np.testing.assert_array_equal(acc, before)
-        # the in-place steps give what the scalar path gives
+        # every row gives what the scalar path gives
         want = [requantize_shift(int(a), shift) for a in acc[0]]
         np.testing.assert_array_equal(got, np.tile(want, (rows, 1)))
 

@@ -67,6 +67,23 @@ class TestMseLoss:
         with pytest.raises(InvariantError):
             mse_loss([1.0], [1.0, 2.0])
 
+    # numpy sums 8 or more entries pairwise, in blocks of 128
+    @pytest.mark.parametrize(
+        "shape", [(1,), (4,), (7,), (8,), (9,), (31,), (127,), (128,), (129,), (1000,), (3, 40)]
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_as_mean_of_squares(self, shape, dtype):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(50):
+            # magnitudes spread over 2**-20..2**20, so summation order shows
+            scale = 2.0 ** rng.integers(-20, 21, shape)
+            o = (rng.normal(size=shape) * scale).astype(dtype)
+            t = (rng.normal(size=shape) * scale).astype(dtype)
+            want = float(np.mean((o.astype(np.float64) - t.astype(np.float64)) ** 2))
+            got = mse_loss(o, t)
+            assert type(got) is float
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
 
 class TestBackwardLsgd:
     def test_perfect_prediction_no_update(self):
