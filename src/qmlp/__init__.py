@@ -5,46 +5,25 @@ pass built on a saturating fixed-point linear kernel and 256-entry
 activation LUTs, and a hybrid fine-tuning loop that keeps the forward pass
 quantized while computing losses, deltas, and parameter updates in float32
 one layer at a time.
+
+The package re-exports the names the README and the demos use; everything
+else is public in its own module (``qmlp.nn``, ``qmlp.train``, ...).
 """
 
-from .data import (
-    Dataset,
-    generate_car_surrogate,
-    load_car_evaluation,
-    load_csv_generic,
-    split,
-    synth_cogdist,
-)
-from .errors import (
-    ConfigurationError,
-    DataError,
-    FormatError,
-    InvariantError,
-    QmlpError,
-)
+from .data import generate_car_surrogate, load_car_evaluation, split
+from .errors import FormatError, InvariantError
 from .fastmath import (
     fast_exp,
     fast_power_of_two,
     fast_round,
-    sigmoid_deriv,
     sigmoid_f,
     sigmoid_ref,
-    tanh_deriv,
     tanh_f,
     tanh_ref,
 )
-from .metrics import (
-    MemoryReport,
-    Metrics,
-    evaluate,
-    memory_report,
-)
-from .model_io import load_model, save_model
+from .metrics import evaluate, memory_report
+from .model_io import save_model
 from .nn import (
-    ARCHITECTURES,
-    DenseLayer,
-    Model,
-    QDenseLayer,
     build_model,
     clone_model,
     forward_full,
@@ -52,7 +31,6 @@ from .nn import (
     linear_int8,
     predict_full,
     predict_int8,
-    predict_labels,
     quantize_model,
 )
 from .quant import (
@@ -67,14 +45,9 @@ from .quant import (
     requantize_shift,
 )
 from .train import (
-    EpochRecord,
-    SaturationWarning,
     TrainConfig,
     backward_hybrid,
-    backward_lsgd,
     finetune_quantized,
-    mse_loss,
-    read_curves_csv,
     train_full,
     write_curves_csv,
 )

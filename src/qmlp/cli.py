@@ -1,8 +1,9 @@
 """Command-line entry point tying the pipeline together.
 
 Subcommands: train, quantize, finetune, eval, report-memory, curves.
-Exit codes: 0 success, 2 usage/configuration error, 3 data or file-format
-error, 4 invariant violation. All errors go to stderr as one line with the
+Exit codes: 0 success, 2 usage/configuration error, 3 data, file-format or
+I/O error (a file that cannot be read or written, or is not UTF-8 text), 4
+invariant violation. All errors go to stderr as one line with the
 prefix ``error[<category>]:``.
 """
 
@@ -13,8 +14,6 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
-
-import numpy as np
 
 from . import data as data_mod
 from .errors import ConfigurationError, DataError, QmlpError
@@ -44,6 +43,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _seed(text):
+    """--seed: an integer >= 0, as numpy's generators require."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1  # reported as not an integer >= 0, below
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return seed
+
+
 def _add_common(p, *, shuffle=True):
     p.add_argument(
         "--dataset",
@@ -53,7 +63,7 @@ def _add_common(p, *, shuffle=True):
         "(loader chosen by --arch)",
     )
     p.add_argument("--arch", choices=sorted(ARCHITECTURES))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--split", type=float, default=0.8, help="train fraction (default 0.8)")
     if shuffle:
         group = p.add_mutually_exclusive_group()
@@ -101,12 +111,19 @@ def _splits(args):
     return data_mod.split(ds, args.split, args.seed)
 
 
-def _print_records(records):
+def _finish_run(m, records, args, default_out, what):
+    """Save a trained model and its curves, then print the run summary."""
+    out = Path(args.out or default_out)
+    save_model(m, out)
+    curves = Path(args.curves) if args.curves else out.with_suffix(out.suffix + ".curves.csv")
+    write_curves_csv(records, curves)
+    print(f"{what} written to {out}; curves written to {curves}")
     last = records[-1]
     print(
         f"epochs={len(records)} final train_acc={last.train_acc:.4f} "
         f"val_acc={last.val_acc:.4f} train_loss={last.train_loss:.6f}"
     )
+    return 0
 
 
 def cmd_train(args):
@@ -121,34 +138,7 @@ def cmd_train(args):
         seed=args.seed,
         activation_math=args.activation_math,
     )
-    records = train_full(m, splits, cfg)
-    out = Path(args.out or "model.bin")
-    save_model(m, out)
-    curves = Path(args.curves) if args.curves else out.with_suffix(out.suffix + ".curves.csv")
-    write_curves_csv(records, curves)
-    print(f"model written to {out}; curves written to {curves}")
-    _print_records(records)
-    return 0
-
-
-def _read_feature_csv(path, n_features):
-    rows = data_mod._read_rows(path)
-    out = np.empty((len(rows), n_features), dtype=np.float64)
-    for r, row in enumerate(rows):
-        if len(row) != n_features:
-            raise DataError(
-                f"{path}: calibration row {r + 1} has {len(row)} columns, "
-                f"expected {n_features}"
-            )
-        for c, cell in enumerate(row):
-            try:
-                out[r, c] = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: calibration row {r + 1}, column {c + 1}: "
-                    f"cannot parse {cell.strip()!r}"
-                ) from None
-    return out
+    return _finish_run(m, train_full(m, splits, cfg), args, "model.bin", "model")
 
 
 def cmd_quantize(args):
@@ -157,7 +147,7 @@ def cmd_quantize(args):
         raise ConfigurationError("quantize expects a full-precision model file")
     calibration = None
     if args.calibration:
-        calibration = _read_feature_csv(args.calibration, m.input_dim)
+        calibration = data_mod.read_numeric_csv(args.calibration, m.input_dim)
     q = quantize_model(m, calibration, math_mode=args.activation_math)
     out = Path(args.out) if args.out else Path(args.model).with_suffix(".int8.bin")
     save_model(q, out)
@@ -185,14 +175,9 @@ def cmd_finetune(args):
         seed=args.seed,
         error_feedback=args.error_feedback,
     )
-    records = finetune_quantized(m, splits, cfg)
-    out = Path(args.out or "finetuned.bin")
-    save_model(m, out)
-    curves = Path(args.curves) if args.curves else out.with_suffix(out.suffix + ".curves.csv")
-    write_curves_csv(records, curves)
-    print(f"fine-tuned model written to {out}; curves written to {curves}")
-    _print_records(records)
-    return 0
+    return _finish_run(
+        m, finetune_quantized(m, splits, cfg), args, "finetuned.bin", "fine-tuned model"
+    )
 
 
 def cmd_eval(args):
@@ -359,6 +344,10 @@ def cli_main(argv=None):
     except QmlpError as e:
         print(f"error[{e.category}]: {e}", file=sys.stderr)
         return e.exit_code
+    except (OSError, UnicodeDecodeError) as e:
+        # a file that cannot be opened, read or written, or is not UTF-8 text
+        print(f"error[io]: {e}", file=sys.stderr)
+        return 3
 
 
 def main():

@@ -8,6 +8,7 @@ rescale. Datasets are immutable after load.
 """
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import product
@@ -141,14 +142,13 @@ def load_car_evaluation(path):
     return Dataset(normalize_features(ordinals, lo, hi), targets, CAR_CLASSES, lo, hi)
 
 
-def load_csv_generic(path, n_features):
-    """Load a numeric CSV: n_features columns, then one {0,1} target column.
+def read_numeric_csv(path, n_cols):
+    """Read a CSV of finite numbers, n_cols per row, as a float64 array.
 
-    Features are left raw here; split() binds min-max normalization
-    statistics from the training rows only.
+    A row with another column count raises FormatError; a cell that is not
+    a finite number raises DataError naming its row and column.
     """
     rows = _read_rows(path)
-    n_cols = n_features + 1
     values = np.empty((len(rows), n_cols), dtype=np.float64)
     for r, row in enumerate(rows):
         if len(row) != n_cols:
@@ -157,15 +157,25 @@ def load_csv_generic(path, n_features):
             )
         for c, cell in enumerate(row):
             try:
-                values[r, c] = float(cell)
+                value = float(cell)
             except ValueError:
+                value = math.nan  # reported as not a finite number, below
+            if not math.isfinite(value):
                 raise DataError(
                     f"{path}: row {r + 1}, column {c + 1}: "
-                    f"cannot parse {cell.strip()!r} as a number"
-                ) from None
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"{path}: non-finite value in data")
+                    f"{cell.strip()!r} is not a finite number"
+                )
+            values[r, c] = value
+    return values
 
+
+def load_csv_generic(path, n_features):
+    """Load a numeric CSV: n_features columns, then one {0,1} target column.
+
+    Features are left raw here; split() binds min-max normalization
+    statistics from the training rows only.
+    """
+    values = read_numeric_csv(path, n_features + 1)
     features = values[:, :n_features]
     targets = values[:, n_features:].astype(np.float32)
     if not np.all(np.isin(targets, (0.0, 1.0))):

@@ -153,15 +153,17 @@ def tanh_f(x):
 def sigmoid_f(x):
     """Logistic function via fast_exp, symmetric by construction.
 
-    The p >= 0.5 branch is computed from 1/(1 + e^{-|x|}) and mirrored, so
-    sigmoid_f(x) + sigmoid_f(-x) == 1 in float32 exactly. NaN input gives
-    an unspecified output.
+    The p >= 0.5 branch is computed from 1/(1 + e^{-|x|}) and mirrored as
+    0.5 + copysign(p - 0.5, x): for p in [0.5, 1], p - 0.5 and 1 - p are
+    exact (Sterbenz), so this is p for x >= 0 and 1 - p for x < 0 (at
+    x = -0, p = 0.5), and sigmoid_f(x) + sigmoid_f(-x) == 1 in float32
+    exactly. NaN input gives an unspecified output.
     """
     xf = np.asarray(x, dtype=np.float32)
     if xf.ndim == 0:
         return sigmoid_f(xf.reshape(1))[0]
     p = 1.0 / (1.0 + _fast_exp_neg(np.abs(xf), 1))
-    return np.where(xf >= 0, p, 1.0 - p)
+    return 0.5 + np.copysign(p - 0.5, xf)
 
 
 def tanh_ref(x):

@@ -261,8 +261,19 @@ class QTrace:
         return self.acts[-1]
 
 
+def _float_layers(m, A, math_mode):
+    """The float layer loop, on a row [in] or a batch [n x in]: yields each
+    layer's pre-activation Z = A W^T + b and its activation act(Z)."""
+    for layer in m.layers:
+        Z = A @ layer.weights.T
+        Z += layer.biases
+        A = activation_fn(layer.activation, math_mode)(Z)
+        yield Z, A
+
+
 def forward_full(m, x, math_mode="reference"):
-    """Dense forward pass: z = W a + b, a = act(z); returns the full trace."""
+    """Dense forward pass on one row, the n = 1 case of ``predict_full``'s
+    loop; returns the full trace."""
     if m.representation != FULL:
         raise InvariantError("forward_full requires a full-precision model")
     x = np.asarray(x, dtype=np.float32)
@@ -270,12 +281,7 @@ def forward_full(m, x, math_mode="reference"):
         raise InvariantError(
             f"input shape {x.shape} does not match input_dim {m.input_dim}"
         )
-    a = x
-    acts = []
-    for layer in m.layers:
-        a = activation_fn(layer.activation, math_mode)(layer.weights @ a + layer.biases)
-        acts.append(a)
-    return FullTrace(x, acts)
+    return FullTrace(x, [a for _, a in _float_layers(m, x, math_mode)])
 
 
 def predict_full(m, X, math_mode="reference"):
@@ -285,10 +291,8 @@ def predict_full(m, X, math_mode="reference"):
     A = np.asarray(X, dtype=np.float32)
     if A.ndim != 2 or A.shape[1] != m.input_dim:
         raise InvariantError(f"batch shape {A.shape} does not match input_dim")
-    for layer in m.layers:
-        Z = A @ layer.weights.T
-        Z += layer.biases
-        A = activation_fn(layer.activation, math_mode)(Z)
+    for _, A in _float_layers(m, A, math_mode):
+        pass
     return A
 
 
@@ -396,11 +400,8 @@ def quantize_model(m, calibration=None, math_mode="reference"):
         if X.ndim != 2 or X.shape[1] != m.input_dim:
             raise InvariantError("calibration set shape does not match input_dim")
         input_exp = _exponent_for_max(float(np.max(np.abs(X))) if X.size else 0.0)
-        A = X
-        for i, layer in enumerate(m.layers):
-            Z = A @ layer.weights.T + layer.biases
+        for i, (Z, _) in enumerate(_float_layers(m, X, math_mode)):
             preact_exps[i] = _exponent_for_max(float(np.max(np.abs(Z))))
-            A = activation_fn(layer.activation, math_mode)(Z)
 
     qlayers = []
     in_params = QuantParams(input_exp)

@@ -55,9 +55,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
-        # learning_rate 0 is allowed (a no-op run used by tests); negative is not
-        if self.learning_rate < 0:
-            raise ConfigurationError("learning_rate must be >= 0")
+        # learning_rate 0 is allowed (a no-op run used by tests); negative,
+        # infinite and NaN are not (NaN fails every comparison)
+        if not 0 <= self.learning_rate < np.inf:
+            raise ConfigurationError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
+            )
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.activation_math not in MATH_MODES:
             raise ConfigurationError(f"unknown activation math {self.activation_math!r}")
 
@@ -131,10 +136,36 @@ def _check_splits(m, train_ds, val_ds):
             )
 
 
-def _epoch_order(n, cfg, rng):
-    if cfg.shuffle:
-        return rng.permutation(n)
-    return np.arange(n)
+def _run_epochs(data, cfg, forward, update, predict):
+    """The epoch loop both trainers share; returns one EpochRecord per epoch.
+
+    Each epoch visits the training rows in stored order, or in a fresh
+    permutation from the seeded generator when ``cfg.shuffle``. Per row,
+    ``forward(idx)`` gives the step's trace and its float32 output; train
+    accuracy and loss are measured from that output, before
+    ``update(trace, target)`` applies the step. After the epoch,
+    ``predict(features)`` scores the validation split.
+    """
+    train_ds, val_ds = data
+    rng = np.random.default_rng(cfg.seed)
+    y_train = train_ds.labels()
+    y_val = val_ds.labels()
+    records = []
+    for epoch in range(cfg.epochs):
+        correct = 0
+        loss_sum = 0.0
+        order = rng.permutation(train_ds.n) if cfg.shuffle else np.arange(train_ds.n)
+        for idx in order:
+            trace, out = forward(idx)
+            t = train_ds.targets[idx]
+            correct += int(predict_labels(out)[0] == y_train[idx])
+            loss_sum += mse_loss(out, t)
+            update(trace, t)
+        val_acc = float(np.mean(predict_labels(predict(val_ds.features)) == y_val))
+        records.append(
+            EpochRecord(epoch, correct / train_ds.n, val_acc, loss_sum / train_ds.n)
+        )
+    return records
 
 
 def train_full(m, data, cfg):
@@ -146,29 +177,19 @@ def train_full(m, data, cfg):
     """
     if m.representation != FULL:
         raise ConfigurationError("train_full requires a full-precision model")
-    train_ds, val_ds = data
-    _check_splits(m, train_ds, val_ds)
-    rng = np.random.default_rng(cfg.seed)
-    records = []
-    y_train = train_ds.labels()
-    for epoch in range(cfg.epochs):
-        order = _epoch_order(train_ds.n, cfg, rng)
-        correct = 0
-        loss_sum = 0.0
-        for idx in order:
-            x = train_ds.features[idx]
-            t = train_ds.targets[idx]
-            trace = forward_full(m, x, cfg.activation_math)
-            out = trace.output
-            correct += int(predict_labels(out)[0] == y_train[idx])
-            loss_sum += mse_loss(out, t)
-            backward_lsgd(trace, t, m, cfg.learning_rate)
-        val_out = predict_full(m, val_ds.features, cfg.activation_math)
-        val_acc = float(np.mean(predict_labels(val_out) == val_ds.labels()))
-        records.append(
-            EpochRecord(epoch, correct / train_ds.n, val_acc, loss_sum / train_ds.n)
-        )
-    return records
+    _check_splits(m, *data)
+    features = data[0].features
+    math_mode, lr = cfg.activation_math, cfg.learning_rate
+
+    def forward(idx):
+        trace = forward_full(m, features[idx], math_mode)
+        return trace, trace.output
+
+    return _run_epochs(
+        data, cfg, forward,
+        lambda trace, t: backward_lsgd(trace, t, m, lr),
+        lambda X: predict_full(m, X, math_mode),
+    )
 
 
 @dataclass
@@ -295,8 +316,7 @@ def finetune_quantized(m, data, cfg):
     """
     if m.representation != QUANTIZED:
         raise ConfigurationError("finetune_quantized requires a quantized model")
-    train_ds, val_ds = data
-    _check_splits(m, train_ds, val_ds)
+    _check_splits(m, *data)
     if not any(l.biases_q.any() for l in m.layers):
         warnings.warn(
             "fine-tuning a quantized model from random initialization (every "
@@ -306,31 +326,21 @@ def finetune_quantized(m, data, cfg):
             SaturationWarning,
             stacklevel=2,
         )
-    rng = np.random.default_rng(cfg.seed)
     feedback = FeedbackState.for_model(m) if cfg.error_feedback else None
     in_params = m.layers[0].in_params
     out_step = np.float32(m.layers[-1].act_params.step)
-    x_codes = quantize(train_ds.features, in_params).codes
-    y_train = train_ds.labels()
-    records = []
-    for epoch in range(cfg.epochs):
-        order = _epoch_order(train_ds.n, cfg, rng)
-        correct = 0
-        loss_sum = 0.0
-        for idx in order:
-            xq = _from_codes(x_codes[idx], in_params)
-            qtrace = forward_int8(m, xq)
-            out = qtrace.output.codes.astype(np.float32) * out_step
-            t = train_ds.targets[idx]
-            correct += int(predict_labels(out)[0] == y_train[idx])
-            loss_sum += mse_loss(out, t)
-            backward_hybrid(qtrace, t, m, cfg.learning_rate, feedback)
-        val_out = predict_int8(m, val_ds.features)
-        val_acc = float(np.mean(predict_labels(val_out) == val_ds.labels()))
-        records.append(
-            EpochRecord(epoch, correct / train_ds.n, val_acc, loss_sum / train_ds.n)
-        )
-    return records
+    x_codes = quantize(data[0].features, in_params).codes
+    lr = cfg.learning_rate
+
+    def forward(idx):
+        qtrace = forward_int8(m, _from_codes(x_codes[idx], in_params))
+        return qtrace, qtrace.output.codes.astype(np.float32) * out_step
+
+    return _run_epochs(
+        data, cfg, forward,
+        lambda qtrace, t: backward_hybrid(qtrace, t, m, lr, feedback),
+        lambda X: predict_int8(m, X),
+    )
 
 
 CURVES_HEADER = ("epoch", "train_acc", "val_acc", "train_loss")
@@ -358,19 +368,26 @@ def write_curves_csv(records, path):
 
 
 def read_curves_csv(path):
-    """Parse a curves CSV back into EpochRecord objects."""
+    """Parse a curves CSV back into EpochRecord objects.
+
+    A file with no epoch rows, or with a cell that is not a finite number,
+    raises FormatError naming the row.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows or tuple(rows[0]) != CURVES_HEADER:
         raise FormatError(f"{path}: missing curves header {','.join(CURVES_HEADER)}")
+    if len(rows) == 1:
+        raise FormatError(f"{path}: no epoch rows after the header")
     records = []
     for i, row in enumerate(rows[1:]):
         if len(row) != 4:
             raise FormatError(f"{path}: row {i + 2} has {len(row)} columns, expected 4")
         try:
-            records.append(
-                EpochRecord(int(row[0]), float(row[1]), float(row[2]), float(row[3]))
-            )
+            rec = EpochRecord(int(row[0]), float(row[1]), float(row[2]), float(row[3]))
         except ValueError:
             raise FormatError(f"{path}: row {i + 2} is not numeric") from None
+        if not np.isfinite([rec.train_acc, rec.val_acc, rec.train_loss]).all():
+            raise FormatError(f"{path}: row {i + 2} has a non-finite value")
+        records.append(rec)
     return records

@@ -206,6 +206,93 @@ class TestErrorPaths:
 
 
 @pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """Placeholder -> path for the bad-input table below."""
+    d = tmp_path_factory.mktemp("bad_inputs")
+    paths = {
+        "missing": d / "missing.bin",
+        "dir": d / "a_directory",
+        "latin1": d / "latin1.csv",
+        "header_only": d / "header_only.csv",
+        "nan_curves": d / "nan_curves.csv",
+        "cal3": d / "cal3.csv",
+        "calnan": d / "calnan.csv",
+        "model": d / "model.bin",
+        "qmodel": d / "q.bin",
+        "out": d / "out.bin",
+        "nodir_out": d / "no" / "such" / "dir" / "out.bin",
+    }
+    paths["dir"].mkdir()
+    paths["latin1"].write_bytes("1,2,3,4,5,6,caf\xe9\n".encode("latin-1"))
+    paths["header_only"].write_text("epoch,train_acc,val_acc,train_loss\n")
+    paths["nan_curves"].write_text(
+        "epoch,train_acc,val_acc,train_loss\n0,0.5,0.5,0.1\n1,0.6,nan,0.1\n"
+    )
+    paths["cal3"].write_text("0.1,0.2,0.3\n")
+    paths["calnan"].write_text("0.1,0.2,0.3,0.4,0.5,0.6\n0.1,0.2,0.3,0.4,0.5,nan\n")
+    save_model(build_model("car_evaluation", 7), paths["model"])
+    save_model(quantize_model(build_model("car_evaluation", 7)), paths["qmodel"])
+    return paths
+
+
+# subcommand x bad input -> exit code, category, and a part of the message
+BAD_INPUTS = [
+    pytest.param(["eval", "{missing}", "--dataset", "synth-cogdist"], 3, "io", "{missing}",
+                 id="eval-missing-model"),
+    pytest.param(["quantize", "{missing}"], 3, "io", "{missing}", id="quantize-missing-model"),
+    pytest.param(["finetune", "{missing}", "--arch", "car_evaluation", "--dataset", "{car}",
+                  "--out", "{out}"], 3, "io", "{missing}", id="finetune-missing-model"),
+    pytest.param(["report-memory", "{missing}"], 3, "io", "{missing}",
+                 id="report-memory-missing-model"),
+    pytest.param(["curves", "{missing}"], 3, "io", "{missing}", id="curves-missing-file"),
+    pytest.param(["train", "--arch", "cogdist", "--dataset", "{dir}", "--out", "{out}"],
+                 3, "io", "{dir}", id="train-dataset-is-a-directory"),
+    pytest.param(["train", "--arch", "cogdist", "--dataset", "{latin1}", "--out", "{out}"],
+                 3, "io", "'utf-8' codec can't decode", id="train-dataset-not-utf8"),
+    pytest.param(["train", "--arch", "car_evaluation", "--dataset", "{car}", "--epochs", "1",
+                  "--out", "{nodir_out}"], 3, "io", "{nodir_out}",
+                 id="train-out-in-missing-directory"),
+    pytest.param(["curves", "{header_only}", "--sparkline"], 3, "format",
+                 "{header_only}: no epoch rows", id="curves-header-only"),
+    pytest.param(["curves", "{nan_curves}", "--sparkline"], 3, "format",
+                 "{nan_curves}: row 3 has a non-finite value", id="curves-nan-cell"),
+    pytest.param(["quantize", "{model}", "--calibration", "{cal3}", "--out", "{out}"], 3,
+                 "format", "{cal3}: row 1 has 3 columns, expected 6",
+                 id="quantize-calibration-column-count"),
+    pytest.param(["quantize", "{model}", "--calibration", "{calnan}", "--out", "{out}"], 3,
+                 "data", "{calnan}: row 2, column 6: 'nan' is not a finite number",
+                 id="quantize-calibration-nan-cell"),
+    pytest.param(["train", "--arch", "car_evaluation", "--dataset", "{car}", "--lr", "nan",
+                  "--out", "{out}"], 2, "config", "learning_rate must be finite",
+                 id="train-lr-nan"),
+    pytest.param(["finetune", "{qmodel}", "--arch", "car_evaluation", "--dataset", "{car}",
+                  "--lr", "inf", "--out", "{out}"], 2, "config",
+                 "learning_rate must be finite", id="finetune-lr-inf"),
+    pytest.param(["train", "--arch", "car_evaluation", "--dataset", "{car}", "--seed", "-1",
+                  "--out", "{out}"], 2, "usage", "seed must be an integer >= 0",
+                 id="train-negative-seed"),
+    pytest.param(["eval", "{model}", "--arch", "car_evaluation", "--dataset", "{car}",
+                  "--seed", "-1"], 2, "usage", "seed must be an integer >= 0",
+                 id="eval-negative-seed"),
+]
+
+
+@pytest.mark.parametrize("command, code, category, needle", BAD_INPUTS)
+def test_bad_input_ends_in_one_error_line(
+    command, code, category, needle, bad_inputs, car_file, capsys
+):
+    names = {k: str(v) for k, v in bad_inputs.items()}
+    names["car"] = car_file
+    got, out, err = run([a.format(**names) for a in command], capsys)
+    assert (got, len(err.splitlines())) == (code, 1), err
+    assert err.startswith(f"error[{category}]: ")
+    assert needle.format(**names) in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not bad_inputs["out"].exists()
+
+
+@pytest.fixture(scope="module")
 def bad_bias_model(tmp_path_factory):
     """A quantized car_evaluation model file whose first bias code is 2**31 - 1.
 

@@ -108,6 +108,12 @@ class TestLoadCsvGeneric:
         with pytest.raises(DataError, match=r"row 2, column 2"):
             load_csv_generic(p, 2)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_located(self, tmp_path, cell):
+        p = write(tmp_path / "g.csv", f"1,2,0\n{cell},2,1\n")
+        with pytest.raises(DataError, match=r"row 2, column 1: .* is not a finite number"):
+            load_csv_generic(p, 2)
+
     def test_binary_target_values_checked(self, tmp_path):
         p = write(tmp_path / "g.csv", "1,2,0.5\n")
         with pytest.raises(DataError):

@@ -39,7 +39,12 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(epochs=0), dict(epochs=1, learning_rate=-1),
-         dict(epochs=1, activation_math="luts"), dict(epochs=-1)],
+         dict(epochs=1, activation_math="luts"), dict(epochs=-1),
+         # a NaN rate passes "< 0": it made NaN weights and, through the
+         # rounding cast, bias codes of -2**31
+         dict(epochs=1, learning_rate=float("nan")),
+         dict(epochs=1, learning_rate=float("inf")),
+         dict(epochs=1, learning_rate=float("-inf")), dict(epochs=1, seed=-1)],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -349,6 +354,19 @@ class TestCurvesCsv:
         assert [r.epoch for r in back] == [0, 1]
         assert back[0].train_acc == 0.5
         assert back[1].train_loss == 0.5
+
+    @pytest.mark.parametrize("body, match", [
+        ("", "no epoch rows"),
+        ("0,0.5,0.5,0.1\n1,0.5,inf,0.1\n", "row 3 has a non-finite value"),
+        ("0,nan,0.5,0.1\n", "row 2 has a non-finite value"),
+    ], ids=["header-only", "inf-cell", "nan-cell"])
+    def test_empty_or_non_finite_rejected(self, tmp_path, body, match):
+        from qmlp.errors import FormatError
+
+        p = tmp_path / "c.csv"
+        p.write_text("epoch,train_acc,val_acc,train_loss\n" + body)
+        with pytest.raises(FormatError, match=match):
+            read_curves_csv(p)
 
     def test_bad_header_rejected(self, tmp_path):
         from qmlp.errors import FormatError
