@@ -1,6 +1,10 @@
 """Command-line entry point tying the pipeline together.
 
 Subcommands: train, quantize, finetune, eval, report-memory, curves.
+``train`` and ``eval`` take ``--activation-math``; ``quantize`` builds its
+LUTs and calibrates with the reference activations, as the tables are built
+once, off the device.
+
 Exit codes: 0 success, 2 usage/configuration error, 3 data, file-format or
 I/O error (a file that cannot be read or written, or is not UTF-8 text), 4
 invariant violation. All errors go to stderr as one line with the
@@ -94,13 +98,10 @@ def _resolve_dataset(args):
                 "--dataset synth-car"
             )
         return data_mod.load_car_evaluation(path)
-    path = Path(name)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
     if args.arch == "car_evaluation":
-        return data_mod.load_car_evaluation(path)
+        return data_mod.load_car_evaluation(name)
     if args.arch == "cogdist":
-        return data_mod.load_csv_generic(path, 6)
+        return data_mod.load_csv_generic(name, 6)
     raise ConfigurationError(
         "loading a dataset from a path needs --arch to pick the loader"
     )
@@ -148,7 +149,7 @@ def cmd_quantize(args):
     calibration = None
     if args.calibration:
         calibration = data_mod.read_numeric_csv(args.calibration, m.input_dim)
-    q = quantize_model(m, calibration, math_mode=args.activation_math)
+    q = quantize_model(m, calibration)
     out = Path(args.out) if args.out else Path(args.model).with_suffix(".int8.bin")
     save_model(q, out)
     print(f"quantized model written to {out}")
@@ -162,8 +163,6 @@ def cmd_finetune(args):
             raise ConfigurationError("--random-init requires --arch")
         m = quantize_model(build_model(args.arch, args.seed))
     else:
-        if not args.model:
-            raise ConfigurationError("finetune needs a quantized model file or --random-init")
         m = load_model(args.model)
         if m.representation != QUANTIZED:
             raise ConfigurationError("finetune expects a quantized model file")
@@ -215,21 +214,11 @@ def cmd_eval(args):
 
 
 def cmd_report_memory(args):
-    if args.arch and not args.model:
-        # the byte counts depend only on the layer shapes, not the weights
-        full = build_model(args.arch, 0)
-        q = quantize_model(full)
-    else:
-        if not args.model:
-            raise ConfigurationError("report-memory needs a model file or --arch")
-        full = load_model(args.model)
-        if args.quantized:
-            q = load_model(args.quantized)
-        elif full.representation == FULL:
-            q = quantize_model(full)
-        else:
-            raise ConfigurationError("give the full model plus --quantized, or --arch")
-    rep = memory_report(full, q)
+    # the byte counts depend only on the layer shapes, not the weights
+    full = build_model(args.arch, 0) if args.arch else load_model(args.model)
+    if full.representation != FULL:
+        raise ConfigurationError("report-memory expects a full-precision model file or --arch")
+    rep = memory_report(full, quantize_model(full))
     print(f"full-precision parameters: {rep.full_bytes} B")
     print(
         f"quantized parameters + LUTs: {rep.quantized_bytes} B "
@@ -251,11 +240,7 @@ def _sparkline(values):
 
 def cmd_curves(args):
     records = read_curves_csv(args.curves_file)
-    if args.out:
-        write_curves_csv(records, args.out)
-        print(f"curves re-emitted to {args.out}")
-    else:
-        write_curves_csv(records, sys.stdout)
+    write_curves_csv(records, sys.stdout)
     if args.sparkline:
         accs = [r.val_acc for r in records]
         print(f"val_acc  {_sparkline(accs)}  [{min(accs):.4f}, {max(accs):.4f}]")
@@ -286,23 +271,20 @@ def build_parser():
     p = sub.add_parser("quantize", help="full model file -> quantized model file")
     p.add_argument("model")
     p.add_argument("--calibration", help="numeric CSV of normalized input rows")
-    p.add_argument(
-        "--activation-math", choices=("fast", "reference"), default="reference",
-        help="math used for calibration and LUT construction",
-    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("finetune", help="quantized training run (int8 forward, float backward)")
-    p.add_argument("model", nargs="?")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("model", nargs="?")
+    source.add_argument("--random-init", action="store_true",
+                        help="fine-tune a randomly initialized quantized model "
+                        "(demonstrates the saturation warning)")
     _add_common(p)
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--lr", type=float, default=None, help=f"default {DEFAULT_FINETUNE_LR}")
     p.add_argument("--error-feedback", action="store_true",
                    help="keep float residuals of updates lost to requantization")
-    p.add_argument("--random-init", action="store_true",
-                   help="fine-tune a randomly initialized quantized model "
-                   "(demonstrates the saturation warning)")
     p.add_argument("--out", help="model file path (default finetuned.bin)")
     p.add_argument("--curves")
     p.set_defaults(func=cmd_finetune)
@@ -316,14 +298,13 @@ def build_parser():
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report-memory", help="parameter-storage comparison")
-    p.add_argument("model", nargs="?")
-    p.add_argument("--quantized", help="quantized model file")
-    p.add_argument("--arch", choices=sorted(ARCHITECTURES))
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("model", nargs="?", help="full-precision model file")
+    source.add_argument("--arch", choices=sorted(ARCHITECTURES))
     p.set_defaults(func=cmd_report_memory)
 
-    p = sub.add_parser("curves", help="re-emit a curve CSV, optionally with a sparkline")
+    p = sub.add_parser("curves", help="print a curve CSV, optionally with a sparkline")
     p.add_argument("curves_file")
-    p.add_argument("--out")
     p.add_argument("--sparkline", action="store_true")
     p.set_defaults(func=cmd_curves)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InvariantError
+from .errors import ConfigurationError, DataError, InvariantError
 from .fastmath import ACTIVATION_NAMES, _round_half_away, activation_fn
 from .quant import (
     DEFAULT_ACTIVATION_EXPONENT,
@@ -380,15 +380,15 @@ def _exponent_for_max(max_abs):
     return choose_exponent(np.array([max_abs])).exponent
 
 
-def quantize_model(m, calibration=None, math_mode="reference"):
+def quantize_model(m, calibration=None):
     """Post-training quantization of a full-precision model.
 
     Weight exponents come from each layer's max|w|. Activation-side
     exponents default to -4 for pre-activation sums and -7 for activation
-    outputs and model inputs; when a calibration input set [n x d] is given,
-    input and pre-activation exponents are calibrated from a max-abs
-    forward pass instead. LUTs are built per layer. ``math_mode`` selects
-    the activation math used both for calibration and LUT construction.
+    outputs and model inputs; when a calibration input set [n x d], n >= 1,
+    is given, input and pre-activation exponents are calibrated from a
+    max-abs forward pass instead. The calibration pass and the per-layer
+    LUTs use the reference activations.
     """
     if m.representation != FULL:
         raise InvariantError("quantize_model requires a full-precision model")
@@ -399,8 +399,10 @@ def quantize_model(m, calibration=None, math_mode="reference"):
         X = np.asarray(calibration, dtype=np.float32)
         if X.ndim != 2 or X.shape[1] != m.input_dim:
             raise InvariantError("calibration set shape does not match input_dim")
-        input_exp = _exponent_for_max(float(np.max(np.abs(X))) if X.size else 0.0)
-        for i, (Z, _) in enumerate(_float_layers(m, X, math_mode)):
+        if not len(X):
+            raise DataError("calibration set has no rows")
+        input_exp = _exponent_for_max(float(np.max(np.abs(X))))
+        for i, (Z, _) in enumerate(_float_layers(m, X, "reference")):
             preact_exps[i] = _exponent_for_max(float(np.max(np.abs(Z))))
 
     qlayers = []
@@ -411,7 +413,7 @@ def quantize_model(m, calibration=None, math_mode="reference"):
         bias_step = 2.0 ** (in_params.exponent + w_params.exponent)
         b_q = _round_half_away(layer.biases.astype(np.float64) / bias_step)
         act_params = QuantParams(DEFAULT_ACTIVATION_EXPONENT)
-        lut = build_lut(layer.activation, QuantParams(preact_exp), act_params, math_mode)
+        lut = build_lut(layer.activation, QuantParams(preact_exp), act_params)
         qlayers.append(QDenseLayer(weights_q=w_q, biases_q=b_q, in_params=in_params, lut=lut))
         in_params = act_params
     return Model(qlayers)

@@ -218,17 +218,15 @@ def _requantize_lut(acc, shift, lut):
     return lut.fused.take(k)
 
 
-def build_lut(activation, in_params, out_params, math_mode="reference"):
+def build_lut(activation, in_params, out_params):
     """Precompute the quantized activation table for one layer.
 
     Each entry is quantize(act(dequantize(code)), out_params) over all 256
-    input codes. The table is built from the reference activation by default;
-    math_mode='fast' builds it from the fast_exp-based twin instead (for
-    studying the approximation interaction — the table build is one-off, so
-    the reference costs nothing at inference time).
+    input codes, with act the reference activation: the table is built once,
+    off the device, so the fast approximation would save nothing there.
     """
     x = np.arange(CODE_MIN, CODE_MAX + 1, dtype=np.float64) * in_params.step
-    table = quantize(activation_fn(activation, math_mode)(x), out_params).codes
+    table = quantize(activation_fn(activation)(x), out_params).codes
     return ActivationLUT(table, in_params, out_params, activation)
 
 

@@ -133,24 +133,21 @@ class TestReportMemoryBenchCurves:
         assert "6500 B" in out
         assert "3.52x" in out and "2.49x" in out
 
-    def test_report_memory_files(self, trained, tmp_path, capsys):
+    def test_report_memory_files(self, trained, capsys):
         model, _ = trained
-        qfile = tmp_path / "q.bin"
-        assert cli_main(["quantize", str(model), "--out", str(qfile)]) == 0
-        capsys.readouterr()
-        code, out, _ = run(["report-memory", str(model), "--quantized", str(qfile)], capsys)
+        code, out, _ = run(["report-memory", str(model)], capsys)
         assert code == 0
         assert "3.36x" in out
 
-    def test_curves_reemit_and_sparkline(self, trained, tmp_path, capsys):
+    def test_curves_reemit_and_sparkline(self, trained, capsys):
         _, curves = trained
-        out_path = tmp_path / "re.csv"
-        code, out, _ = run([
-            "curves", str(curves), "--out", str(out_path), "--sparkline",
-        ], capsys)
+        code, out, _ = run(["curves", str(curves), "--sparkline"], capsys)
         assert code == 0
-        assert out_path.read_bytes() == curves.read_bytes()
-        assert "val_acc" in out
+        # the CSV part of stdout is byte-identical to the file qmlp wrote
+        csv_bytes = curves.read_bytes()
+        assert out.encode("utf-8")[: len(csv_bytes)] == csv_bytes
+        sparklines = out[len(csv_bytes.decode("utf-8")):].splitlines()
+        assert [line.split()[0] for line in sparklines] == ["val_acc", "train_acc"]
 
     def test_curves_stdout(self, trained, capsys):
         _, curves = trained
@@ -185,7 +182,7 @@ class TestErrorPaths:
             "--epochs", "1",
         ], capsys)
         assert code == 3
-        assert err.startswith("error[data]:")
+        assert err.startswith("error[io]:")
 
     def test_format_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
@@ -215,6 +212,7 @@ def bad_inputs(tmp_path_factory):
         "latin1": d / "latin1.csv",
         "header_only": d / "header_only.csv",
         "nan_curves": d / "nan_curves.csv",
+        "curves": d / "curves.csv",
         "cal3": d / "cal3.csv",
         "calnan": d / "calnan.csv",
         "model": d / "model.bin",
@@ -228,6 +226,7 @@ def bad_inputs(tmp_path_factory):
     paths["nan_curves"].write_text(
         "epoch,train_acc,val_acc,train_loss\n0,0.5,0.5,0.1\n1,0.6,nan,0.1\n"
     )
+    paths["curves"].write_text("epoch,train_acc,val_acc,train_loss\n0,0.5,0.5,0.1\n")
     paths["cal3"].write_text("0.1,0.2,0.3\n")
     paths["calnan"].write_text("0.1,0.2,0.3,0.4,0.5,0.6\n0.1,0.2,0.3,0.4,0.5,nan\n")
     save_model(build_model("car_evaluation", 7), paths["model"])
@@ -274,6 +273,21 @@ BAD_INPUTS = [
     pytest.param(["eval", "{model}", "--arch", "car_evaluation", "--dataset", "{car}",
                   "--seed", "-1"], 2, "usage", "seed must be an integer >= 0",
                  id="eval-negative-seed"),
+    # deleted options, and inputs that exclude one another
+    pytest.param(["quantize", "{model}", "--activation-math", "fast", "--out", "{out}"], 2,
+                 "usage", "unrecognized arguments: --activation-math fast",
+                 id="quantize-activation-math"),
+    pytest.param(["report-memory", "{model}", "--quantized", "{qmodel}"], 2, "usage",
+                 "unrecognized arguments: --quantized", id="report-memory-quantized"),
+    pytest.param(["curves", "{curves}", "--out", "{out}"], 2, "usage",
+                 "unrecognized arguments: --out", id="curves-out"),
+    pytest.param(["report-memory", "{model}", "--arch", "car_evaluation"], 2, "usage",
+                 "argument --arch: not allowed with argument model",
+                 id="report-memory-model-and-arch"),
+    pytest.param(["finetune", "{qmodel}", "--random-init", "--arch", "car_evaluation",
+                  "--dataset", "{car}", "--out", "{out}"], 2, "usage",
+                 "argument --random-init: not allowed with argument model",
+                 id="finetune-model-and-random-init"),
 ]
 
 

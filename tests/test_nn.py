@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmlp.errors import ConfigurationError, InvariantError
+from qmlp.errors import ConfigurationError, DataError, InvariantError
 from qmlp.nn import (
     bias_code_limit,
     build_model,
@@ -408,6 +408,10 @@ class TestQuantizeModel:
             Z = A @ l.weights.T + l.biases
             assert np.max(np.abs(Z)) <= 128 * ql.preact_params.step
             A = np.tanh(Z) if l.activation == "tanh" else 1 / (1 + np.exp(-Z))
+
+    def test_calibration_without_rows_is_a_data_error(self):
+        with pytest.raises(DataError, match="calibration set has no rows"):
+            quantize_model(build_model("car_evaluation", 1), np.zeros((0, 6)))
 
     def test_bias_ties_round_half_away_from_zero(self):
         m = build_model((2, [(4, "tanh")]), 0)
