@@ -21,13 +21,13 @@ from pathlib import Path
 
 from . import data as data_mod
 from .errors import ConfigurationError, DataError, QmlpError
+from .fastmath import MATH_MODES
 from .metrics import evaluate, memory_report
 from .model_io import load_model, save_model
 from .nn import ARCHITECTURES, FULL, QUANTIZED, build_model, quantize_model
 from .train import (
     DEFAULT_FINETUNE_LR,
     DEFAULT_FLOAT_LR,
-    SaturationWarning,
     TrainConfig,
     finetune_quantized,
     read_curves_csv,
@@ -70,13 +70,11 @@ def _add_common(p, *, shuffle=True):
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--split", type=float, default=0.8, help="train fraction (default 0.8)")
     if shuffle:
-        group = p.add_mutually_exclusive_group()
-        group.add_argument(
-            "--no-shuffle", dest="shuffle", action="store_false",
-            help="visit training samples in stored order (default)",
+        p.add_argument(
+            "--shuffle", action="store_true",
+            help="visit training samples in a fresh seeded order each epoch "
+            "(default: stored order)",
         )
-        group.add_argument("--shuffle", dest="shuffle", action="store_true")
-        p.set_defaults(shuffle=False)
 
 
 def _resolve_dataset(args):
@@ -134,7 +132,7 @@ def cmd_train(args):
     m = build_model(args.arch, args.seed)
     cfg = TrainConfig(
         epochs=args.epochs,
-        learning_rate=DEFAULT_FLOAT_LR if args.lr is None else args.lr,
+        learning_rate=args.lr,
         shuffle=args.shuffle,
         seed=args.seed,
         activation_math=args.activation_math,
@@ -157,7 +155,6 @@ def cmd_quantize(args):
 
 
 def cmd_finetune(args):
-    warnings.simplefilter("always", SaturationWarning)
     if args.random_init:
         if not args.arch:
             raise ConfigurationError("--random-init requires --arch")
@@ -169,7 +166,7 @@ def cmd_finetune(args):
     splits = _splits(args)
     cfg = TrainConfig(
         epochs=args.epochs,
-        learning_rate=DEFAULT_FINETUNE_LR if args.lr is None else args.lr,
+        learning_rate=args.lr,
         shuffle=args.shuffle,
         seed=args.seed,
         error_feedback=args.error_feedback,
@@ -262,8 +259,8 @@ def build_parser():
     p = sub.add_parser("train", help="full-precision training run")
     _add_common(p)
     p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=None, help=f"default {DEFAULT_FLOAT_LR}")
-    p.add_argument("--activation-math", choices=("fast", "reference"), default="fast")
+    p.add_argument("--lr", type=float, default=DEFAULT_FLOAT_LR, help="default %(default)s")
+    p.add_argument("--activation-math", choices=MATH_MODES, default="fast")
     p.add_argument("--out", help="model file path (default model.bin)")
     p.add_argument("--curves", help="curve CSV path (default <out>.curves.csv)")
     p.set_defaults(func=cmd_train)
@@ -282,7 +279,7 @@ def build_parser():
                         "(demonstrates the saturation warning)")
     _add_common(p)
     p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--lr", type=float, default=None, help=f"default {DEFAULT_FINETUNE_LR}")
+    p.add_argument("--lr", type=float, default=DEFAULT_FINETUNE_LR, help="default %(default)s")
     p.add_argument("--error-feedback", action="store_true",
                    help="keep float residuals of updates lost to requantization")
     p.add_argument("--out", help="model file path (default finetuned.bin)")
@@ -293,7 +290,7 @@ def build_parser():
     p.add_argument("model")
     _add_common(p, shuffle=False)
     p.add_argument("--on", choices=("train", "val", "all"), default="val")
-    p.add_argument("--activation-math", choices=("fast", "reference"), default="reference")
+    p.add_argument("--activation-math", choices=MATH_MODES, default="reference")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
 
@@ -320,8 +317,13 @@ def cli_main(argv=None):
         return 2
     except SystemExit as e:  # --help
         return int(e.code or 0)
+    # Warnings print as one "warning: <message>" line; catch_warnings
+    # restores the filters, but not formatwarning.
+    fmt = warnings.formatwarning
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+            return args.func(args)
     except QmlpError as e:
         print(f"error[{e.category}]: {e}", file=sys.stderr)
         return e.exit_code
@@ -329,6 +331,8 @@ def cli_main(argv=None):
         # a file that cannot be opened, read or written, or is not UTF-8 text
         print(f"error[io]: {e}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = fmt
 
 
 def main():

@@ -31,6 +31,16 @@ CAR_CLASSES = ("unacc", "acc", "good", "vgood")
 CAR_CANONICAL_ROWS = 1728
 
 
+def predict_labels(outputs):
+    """Decision rule from outputs or targets [n x c] (or one row [c]) to
+    class labels: threshold 0.5 for a single column, else argmax (ties
+    broken by lowest index)."""
+    arr = np.atleast_2d(np.asarray(outputs))
+    if arr.shape[1] == 1:
+        return (arr[:, 0] >= 0.5).astype(np.int64)
+    return np.argmax(arr, axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Feature matrix [n x d] plus targets [n x c] (c=1 binary, else one-hot).
@@ -69,10 +79,8 @@ class Dataset:
         return 2 if self.n_outputs == 1 else self.n_outputs
 
     def labels(self):
-        """Integer class labels: thresholded for binary, argmax for one-hot."""
-        if self.n_outputs == 1:
-            return (self.targets[:, 0] >= 0.5).astype(np.int64)
-        return np.argmax(self.targets, axis=1)
+        """Integer class labels of the targets, by ``predict_labels``."""
+        return predict_labels(self.targets)
 
 
 def normalize_features(raw, lo, hi):

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvariantError
-from .nn import FULL, predict_full, predict_int8, predict_labels
+from .data import predict_labels
+from .nn import FULL, predict_full, predict_int8
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,15 +66,22 @@ def metrics_from_confusion(cm):
     )
 
 
+def check_fit(m, *splits):
+    """Refuse a split with no rows, or whose feature or target width is not
+    the model's input or output width."""
+    for ds in splits:
+        if ds.n == 0:
+            raise ConfigurationError("dataset split is empty")
+        if ds.n_features != m.input_dim or ds.n_outputs != m.output_dim:
+            raise ConfigurationError(
+                f"model ({m.input_dim}->{m.output_dim}) does not match dataset "
+                f"({ds.n_features}->{ds.n_outputs})"
+            )
+
+
 def evaluate(m, ds, math_mode="reference"):
     """Run the model over a dataset split and score the predictions."""
-    if ds.n == 0:
-        raise ConfigurationError("cannot evaluate an empty split")
-    if ds.n_features != m.input_dim or ds.n_outputs != m.output_dim:
-        raise ConfigurationError(
-            f"model ({m.input_dim}->{m.output_dim}) does not match dataset "
-            f"({ds.n_features}->{ds.n_outputs})"
-        )
+    check_fit(m, ds)
     if m.representation == FULL:
         outputs = predict_full(m, ds.features, math_mode)
     else:

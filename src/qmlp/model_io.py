@@ -35,19 +35,20 @@ from .quant import (
 MAGIC = b"DCV1"
 FORMAT_VERSION = 1
 
-_REPR_TO_BYTE = {FULL: 0, QUANTIZED: 1}
-_BYTE_TO_REPR = {0: FULL, 1: QUANTIZED}
-_ACT_TO_BYTE = {"tanh": 0, "sigmoid": 1}
-_BYTE_TO_ACT = {0: "tanh", 1: "sigmoid"}
+# The value each byte stands for, indexed by the byte.
+_REPRESENTATIONS = (FULL, QUANTIZED)
+_ACTIVATIONS = ("tanh", "sigmoid")
 
 
 def save_model(m, path):
     """Serialize a Model to ``path``; see module docstring for the layout."""
     out = bytearray()
     out += MAGIC
-    out += struct.pack("<HBH", FORMAT_VERSION, _REPR_TO_BYTE[m.representation], len(m.layers))
+    repr_byte = _REPRESENTATIONS.index(m.representation)
+    out += struct.pack("<HBH", FORMAT_VERSION, repr_byte, len(m.layers))
     for layer in m.layers:
-        out += struct.pack("<HHB", layer.in_dim, layer.out_dim, _ACT_TO_BYTE[layer.activation])
+        act_byte = _ACTIVATIONS.index(layer.activation)
+        out += struct.pack("<HHB", layer.in_dim, layer.out_dim, act_byte)
     for layer in m.layers:
         if m.representation == FULL:
             out += layer.weights.astype("<f4").tobytes()
@@ -108,9 +109,9 @@ def load_model(path):
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}", offset=4)
     (repr_byte,) = r.unpack("<B", "representation")
-    if repr_byte not in _BYTE_TO_REPR:
+    if repr_byte >= len(_REPRESENTATIONS):
         raise FormatError(f"unknown representation byte {repr_byte}", offset=6)
-    representation = _BYTE_TO_REPR[repr_byte]
+    representation = _REPRESENTATIONS[repr_byte]
     (layer_count,) = r.unpack("<H", "layer count")
     if layer_count == 0:
         raise FormatError("model file declares zero layers", offset=7)
@@ -121,11 +122,11 @@ def load_model(path):
         in_dim, out_dim, act_byte = r.unpack("<HHB", f"layer {i} header")
         if in_dim == 0 or out_dim == 0:
             raise FormatError(f"layer {i} has zero dimension", offset=at)
-        if act_byte not in _BYTE_TO_ACT:
+        if act_byte >= len(_ACTIVATIONS):
             raise FormatError(f"layer {i} unknown activation byte {act_byte}", offset=at + 4)
         if headers and headers[-1][1] != in_dim:
             raise FormatError(f"layer chain mismatch between layers {i - 1} and {i}", offset=at)
-        headers.append((in_dim, out_dim, _BYTE_TO_ACT[act_byte]))
+        headers.append((in_dim, out_dim, _ACTIVATIONS[act_byte]))
 
     layers = []
     prev_act_exp = None
@@ -156,7 +157,7 @@ def load_model(path):
             if not -SHIFT_MAX <= shift <= SHIFT_MAX:
                 raise FormatError(
                     f"layer {i} requantize shift {shift} (input {in_exp} + weight "
-                    f"{w_exp} - pre-activation {preact_exp}) outside [-31, 31]",
+                    f"{w_exp} - pre-activation {preact_exp}) outside [-{SHIFT_MAX}, {SHIFT_MAX}]",
                     offset=at + 2,
                 )
             prev_act_exp = act_exp

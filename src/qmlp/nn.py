@@ -57,6 +57,17 @@ def bias_code_limit(in_dim):
     return _INT32_MAX - _PRODUCT_MAX * in_dim
 
 
+def _check_layer_shape(weights, biases):
+    """The shape every kernel assumes: weights [out x in], biases [out],
+    and out, in >= 1."""
+    if weights.ndim != 2 or biases.ndim != 1:
+        raise InvariantError("weights must be [out x in], biases [out]")
+    if weights.shape[0] != biases.shape[0]:
+        raise InvariantError("weight rows and bias length differ")
+    if 0 in weights.shape:
+        raise InvariantError("layer dimensions must be >= 1")
+
+
 @dataclass(eq=False)
 class DenseLayer:
     """Fully-connected layer: weights [out x in], biases [out], activation id."""
@@ -68,12 +79,7 @@ class DenseLayer:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float32)
         self.biases = np.asarray(self.biases, dtype=np.float32)
-        if self.weights.ndim != 2 or self.biases.ndim != 1:
-            raise InvariantError("weights must be [out x in], biases [out]")
-        if self.weights.shape[0] != self.biases.shape[0]:
-            raise InvariantError("weight rows and bias length differ")
-        if self.out_dim < 1 or self.in_dim < 1:
-            raise InvariantError("layer dimensions must be >= 1")
+        _check_layer_shape(self.weights, self.biases)
         if self.activation not in ACTIVATION_NAMES:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.biases))):
@@ -116,13 +122,10 @@ class QDenseLayer:
 
     def __post_init__(self):
         biases = np.asarray(self.biases_q)
-        if self.weights_q.codes.ndim != 2 or biases.ndim != 1:
-            raise InvariantError("weight codes must be [out x in], biases [out]")
-        if self.weights_q.codes.shape[0] != biases.shape[0]:
-            raise InvariantError("weight rows and bias length differ")
+        _check_layer_shape(self.weights_q.codes, biases)
         limit = bias_code_limit(self.in_dim)
         # min/max rather than abs: abs(int32 min) wraps to itself
-        if biases.size and (biases.min() < -limit or biases.max() > limit):
+        if biases.min() < -limit or biases.max() > limit:
             raise InvariantError(
                 f"bias code outside +-{limit}, the bound that keeps the int32 "
                 f"accumulator of a {self.in_dim}-input layer from overflowing"
@@ -135,7 +138,7 @@ class QDenseLayer:
             raise InvariantError(
                 f"requantize shift {shift} (input e={self.in_params.exponent} + weight "
                 f"e={self.weights_q.params.exponent} - pre-activation "
-                f"e={self.preact_params.exponent}) outside [-31, 31]"
+                f"e={self.preact_params.exponent}) outside [-{SHIFT_MAX}, {SHIFT_MAX}]"
             )
 
     @property
@@ -237,10 +240,11 @@ def build_model(spec, seed):
 
 
 @dataclass(eq=False)
-class FullTrace:
-    """Forward-pass record for the full model: the input and a per layer."""
+class Trace:
+    """Forward-pass record: the input and each layer's activation, as
+    float32 arrays (``forward_full``) or QTensor codes (``forward_int8``)."""
 
-    x: np.ndarray
+    x: object
     acts: list
 
     @property
@@ -248,17 +252,17 @@ class FullTrace:
         return self.acts[-1]
 
 
-@dataclass(eq=False)
-class QTrace:
-    """Forward-pass record for the quantized model: the input and a per
-    layer, all as codes."""
-
-    x_q: QTensor
-    acts: list
-
-    @property
-    def output(self):
-        return self.acts[-1]
+def _batch(m, X, representation, what):
+    """``X`` as a float32 batch [n x input_dim] for a model of the given
+    representation; anything else raises InvariantError."""
+    if m.representation != representation:
+        raise InvariantError(f"{what} requires a {representation} model")
+    X = np.asarray(X, dtype=np.float32)
+    if X.ndim != 2 or X.shape[1] != m.input_dim:
+        raise InvariantError(
+            f"{what}: batch shape {X.shape} does not match input_dim {m.input_dim}"
+        )
+    return X
 
 
 def _float_layers(m, A, math_mode):
@@ -281,16 +285,12 @@ def forward_full(m, x, math_mode="reference"):
         raise InvariantError(
             f"input shape {x.shape} does not match input_dim {m.input_dim}"
         )
-    return FullTrace(x, [a for _, a in _float_layers(m, x, math_mode)])
+    return Trace(x, [a for _, a in _float_layers(m, x, math_mode)])
 
 
 def predict_full(m, X, math_mode="reference"):
     """Batched forward pass returning final outputs only, [n x output_dim]."""
-    if m.representation != FULL:
-        raise InvariantError("predict_full requires a full-precision model")
-    A = np.asarray(X, dtype=np.float32)
-    if A.ndim != 2 or A.shape[1] != m.input_dim:
-        raise InvariantError(f"batch shape {A.shape} does not match input_dim")
+    A = _batch(m, X, FULL, "predict_full")
     for _, A in _float_layers(m, A, math_mode):
         pass
     return A
@@ -341,7 +341,7 @@ def forward_int8(m, x_q):
     for layer in m.layers:
         cur = apply_lut(linear_int8(cur, layer), layer.lut)
         acts.append(cur)
-    return QTrace(x_q, acts)
+    return Trace(x_q, acts)
 
 
 def predict_int8(m, X):
@@ -352,25 +352,12 @@ def predict_int8(m, X):
     gather per layer that requantizes and applies the LUT together
     (``quant._requantize_lut``); the codes equal forward_int8's row by row.
     """
-    if m.representation != QUANTIZED:
-        raise InvariantError("predict_int8 requires a quantized model")
-    X = np.asarray(X, dtype=np.float32)
-    if X.ndim != 2 or X.shape[1] != m.input_dim:
-        raise InvariantError(f"batch shape {X.shape} does not match input_dim")
+    X = _batch(m, X, QUANTIZED, "predict_int8")
     codes = quantize(X, m.layers[0].in_params).codes
     for layer in m.layers:
         acc = _int8_kernel(codes, layer)
         codes = _requantize_lut(acc, layer.requantize_shift_amount, layer.lut)
     return codes.astype(np.float32) * np.float32(m.layers[-1].act_params.step)
-
-
-def predict_labels(outputs):
-    """Decision rule: threshold 0.5 for a single sigmoid output, else argmax
-    (ties broken by lowest index)."""
-    arr = np.atleast_2d(np.asarray(outputs))
-    if arr.shape[1] == 1:
-        return (arr[:, 0] >= 0.5).astype(np.int64)
-    return np.argmax(arr, axis=1)
 
 
 def _exponent_for_max(max_abs):
@@ -396,9 +383,7 @@ def quantize_model(m, calibration=None):
     input_exp = DEFAULT_ZERO_EXPONENT
     preact_exps = [DEFAULT_PREACT_EXPONENT] * len(m.layers)
     if calibration is not None:
-        X = np.asarray(calibration, dtype=np.float32)
-        if X.ndim != 2 or X.shape[1] != m.input_dim:
-            raise InvariantError("calibration set shape does not match input_dim")
+        X = _batch(m, calibration, FULL, "quantize_model's calibration set")
         if not len(X):
             raise DataError("calibration set has no rows")
         input_exp = _exponent_for_max(float(np.max(np.abs(X))))

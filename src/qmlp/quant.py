@@ -66,26 +66,33 @@ class QuantParams:
         return 2.0 ** self.exponent
 
 
+def _int8_codes(values):
+    """A read-only int8 copy of ``values``, which must be whole numbers in
+    [-128, 127]: the cast would round or wrap anything else."""
+    codes = np.asarray(values)
+    if codes.dtype != np.int8 and codes.size and not (
+        np.all(np.trunc(codes) == codes) and CODE_MIN <= codes.min() and codes.max() <= CODE_MAX
+    ):
+        raise InvariantError(f"codes must be whole numbers in [{CODE_MIN}, {CODE_MAX}]")
+    codes = codes.astype(np.int8)
+    codes.setflags(write=False)
+    return codes
+
+
 @dataclass(frozen=True, eq=False)
 class QTensor:
     """Signed 8-bit code buffer plus its quantization parameters.
 
-    The constructor range-checks and copies caller-supplied codes; codes the
-    library computes itself are wrapped by ``_from_codes`` instead.
+    The constructor copies caller-supplied codes, which must be whole
+    numbers in [-128, 127]; codes the library computes itself are wrapped
+    by ``_from_codes`` instead.
     """
 
     codes: np.ndarray
     params: QuantParams
 
     def __post_init__(self):
-        codes = np.asarray(self.codes)
-        if codes.dtype != np.int8:
-            if codes.size and (codes.min() < CODE_MIN or codes.max() > CODE_MAX):
-                raise InvariantError("codes outside signed 8-bit range")
-            codes = codes.astype(np.int8)
-        codes = codes.copy()
-        codes.setflags(write=False)
-        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "codes", _int8_codes(self.codes))
 
     @property
     def shape(self):
@@ -109,7 +116,8 @@ def _from_codes(codes, params):
 @dataclass(frozen=True, eq=False)
 class ActivationLUT:
     """256-entry int8 -> int8 activation table, indexed by input code + 128,
-    and the name of the activation it was built from.
+    and the name of the activation it was built from. The table's entries
+    must be whole numbers in [-128, 127], as for ``QTensor``.
 
     ``fused`` is derived from ``table`` when the LUT is built: 512 int8
     entries, fused[k + 256] = table[clamp(round_half_away(k / 2)) + 128] for
@@ -127,10 +135,9 @@ class ActivationLUT:
     def __post_init__(self):
         if self.activation not in ACTIVATION_NAMES:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
-        table = np.asarray(self.table, dtype=np.int8).copy()
+        table = _int8_codes(self.table)
         if table.shape != (256,):
             raise InvariantError(f"LUT table must have 256 entries, got {table.shape}")
-        table.setflags(write=False)
         object.__setattr__(self, "table", table)
         fused = _lut_gather(table, _FUSED_CODES)
         fused.setflags(write=False)
@@ -182,8 +189,8 @@ def requantize_shift(acc, shift):
     of integers.
     """
     shift = int(shift)
-    if not -31 <= shift <= 31:
-        raise InvariantError(f"requantize shift {shift} outside [-31, 31]")
+    if not -SHIFT_MAX <= shift <= SHIFT_MAX:
+        raise InvariantError(f"requantize shift {shift} outside [-{SHIFT_MAX}, {SHIFT_MAX}]")
     z = np.multiply(acc, 2.0**shift, dtype=np.float64)
     codes = _round_half_away(z, _CODE_LO, _CODE_HI, np.int8)
     if codes.ndim == 0:

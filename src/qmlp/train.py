@@ -17,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import predict_labels
 from .errors import ConfigurationError, FormatError, InvariantError
 from .fastmath import MATH_MODES, _round_half_away, activation_deriv
+from .metrics import check_fit
 from .nn import (
     FULL,
     QUANTIZED,
@@ -27,9 +29,14 @@ from .nn import (
     forward_int8,
     predict_full,
     predict_int8,
-    predict_labels,
 )
 from .quant import _CODE_HI, _CODE_LO, _from_codes, dequantize, quantize
+
+DEFAULT_FLOAT_LR = 0.01
+# Fine-tuning default. Even at 0.05 most updates do not clear the weight
+# quantization step: on synth-car after 100 float epochs and PTQ, 99.7% of
+# non-zero weight updates left the code unchanged.
+DEFAULT_FINETUNE_LR = 0.05
 
 
 class SaturationWarning(UserWarning):
@@ -46,7 +53,7 @@ class TrainConfig:
     """
 
     epochs: int
-    learning_rate: float = 0.01
+    learning_rate: float = DEFAULT_FLOAT_LR
     shuffle: bool = False
     seed: int = 0
     activation_math: str = "fast"
@@ -73,13 +80,6 @@ class EpochRecord:
     train_acc: float
     val_acc: float
     train_loss: float
-
-
-DEFAULT_FLOAT_LR = 0.01
-# Fine-tuning default. Even at 0.05 most updates do not clear the weight
-# quantization step: on synth-car after 100 float epochs and PTQ, 99.7% of
-# non-zero weight updates left the code unchanged.
-DEFAULT_FINETUNE_LR = 0.05
 
 
 def mse_loss(output, target):
@@ -121,31 +121,18 @@ def backward_lsgd(trace, target, m, lr):
     return count
 
 
-def _check_splits(m, train_ds, val_ds):
-    for name, ds in (("train", train_ds), ("validation", val_ds)):
-        if ds.n == 0:
-            raise ConfigurationError(f"{name} split is empty")
-        if ds.n_features != m.input_dim:
-            raise ConfigurationError(
-                f"{name} split has {ds.n_features} features, model expects {m.input_dim}"
-            )
-        if ds.n_outputs != m.output_dim:
-            raise ConfigurationError(
-                f"{name} split has {ds.n_outputs} target columns, "
-                f"model outputs {m.output_dim}"
-            )
-
-
-def _run_epochs(data, cfg, forward, update, predict):
+def _run_epochs(m, data, cfg, forward, update, predict):
     """The epoch loop both trainers share; returns one EpochRecord per epoch.
 
-    Each epoch visits the training rows in stored order, or in a fresh
-    permutation from the seeded generator when ``cfg.shuffle``. Per row,
+    Both splits must fit the model (``metrics.check_fit``). Each epoch
+    visits the training rows in stored order, or in a fresh permutation
+    from the seeded generator when ``cfg.shuffle``. Per row,
     ``forward(idx)`` gives the step's trace and its float32 output; train
     accuracy and loss are measured from that output, before
     ``update(trace, target)`` applies the step. After the epoch,
     ``predict(features)`` scores the validation split.
     """
+    check_fit(m, *data)
     train_ds, val_ds = data
     rng = np.random.default_rng(cfg.seed)
     y_train = train_ds.labels()
@@ -177,7 +164,6 @@ def train_full(m, data, cfg):
     """
     if m.representation != FULL:
         raise ConfigurationError("train_full requires a full-precision model")
-    _check_splits(m, *data)
     features = data[0].features
     math_mode, lr = cfg.activation_math, cfg.learning_rate
 
@@ -186,7 +172,7 @@ def train_full(m, data, cfg):
         return trace, trace.output
 
     return _run_epochs(
-        data, cfg, forward,
+        m, data, cfg, forward,
         lambda trace, t: backward_lsgd(trace, t, m, lr),
         lambda X: predict_full(m, X, math_mode),
     )
@@ -284,7 +270,7 @@ def backward_hybrid(qtrace, target, m, lr, feedback=None):
 
     for i in reversed(range(n_layers)):
         layer = m.layers[i]
-        a_prev = dequantize(qtrace.acts[i - 1]) if i > 0 else dequantize(qtrace.x_q)
+        a_prev = dequantize(qtrace.acts[i - 1]) if i > 0 else dequantize(qtrace.x)
         w_exp = layer.weights_q.params.exponent
         w = layer.weights_q.codes.astype(np.float32)
         b = layer.biases_q.astype(np.float32)
@@ -316,7 +302,6 @@ def finetune_quantized(m, data, cfg):
     """
     if m.representation != QUANTIZED:
         raise ConfigurationError("finetune_quantized requires a quantized model")
-    _check_splits(m, *data)
     if not any(l.biases_q.any() for l in m.layers):
         warnings.warn(
             "fine-tuning a quantized model from random initialization (every "
@@ -328,16 +313,15 @@ def finetune_quantized(m, data, cfg):
         )
     feedback = FeedbackState.for_model(m) if cfg.error_feedback else None
     in_params = m.layers[0].in_params
-    out_step = np.float32(m.layers[-1].act_params.step)
     x_codes = quantize(data[0].features, in_params).codes
     lr = cfg.learning_rate
 
     def forward(idx):
         qtrace = forward_int8(m, _from_codes(x_codes[idx], in_params))
-        return qtrace, qtrace.output.codes.astype(np.float32) * out_step
+        return qtrace, dequantize(qtrace.output)
 
     return _run_epochs(
-        data, cfg, forward,
+        m, data, cfg, forward,
         lambda qtrace, t: backward_hybrid(qtrace, t, m, lr, feedback),
         lambda X: predict_int8(m, X),
     )

@@ -1,12 +1,15 @@
 import json
+import re
 import struct
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmlp.cli import cli_main
+from qmlp.cli import build_parser, cli_main
 from qmlp.data import generate_car_surrogate
 from qmlp.model_io import save_model
 from qmlp.nn import build_model, quantize_model
@@ -82,6 +85,7 @@ class TestQuantizeFinetuneEval:
 
     def test_finetune_random_init_warns(self, car_file, tmp_path, capsys):
         tuned = tmp_path / "r.bin"
+        filters, fmt = list(warnings.filters), warnings.formatwarning
         with pytest.warns(Warning):
             code = cli_main([
                 "finetune", "--random-init", "--arch", "car_evaluation",
@@ -89,6 +93,20 @@ class TestQuantizeFinetuneEval:
             ])
         capsys.readouterr()
         assert code == 0
+        # the command leaves no warning filter or format behind
+        assert warnings.filters == filters
+        assert warnings.formatwarning is fmt
+
+    def test_warning_is_one_stderr_line(self, car_file, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmlp.cli", "finetune", "--random-init", "--arch",
+             "car_evaluation", "--dataset", car_file, "--epochs", "1",
+             "--out", str(tmp_path / "r.bin")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr.startswith("warning: fine-tuning a quantized model from random")
+        assert len(proc.stderr.splitlines()) == 1
 
     def test_eval_table_and_json(self, trained, car_file, capsys):
         model, _ = trained
@@ -281,6 +299,9 @@ BAD_INPUTS = [
                  "unrecognized arguments: --quantized", id="report-memory-quantized"),
     pytest.param(["curves", "{curves}", "--out", "{out}"], 2, "usage",
                  "unrecognized arguments: --out", id="curves-out"),
+    pytest.param(["train", "--arch", "car_evaluation", "--dataset", "{car}", "--no-shuffle",
+                  "--out", "{out}"], 2, "usage", "unrecognized arguments: --no-shuffle",
+                 id="train-no-shuffle"),
     pytest.param(["report-memory", "{model}", "--arch", "car_evaluation"], 2, "usage",
                  "argument --arch: not allowed with argument model",
                  id="report-memory-model-and-arch"),
@@ -395,6 +416,18 @@ class TestNonFiniteFloatParameter:
         assert err.splitlines() == [
             f"error[format]: layer 0 weight is not finite (at byte offset {offset})"
         ]
+
+
+def test_readme_flags_are_accepted():
+    # every --flag in the README's CLI usage block and "Shared flags"
+    # paragraph is an option of at least one subcommand
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    usage = readme.split("## Quick start (CLI)", 1)[1].split("\n## ", 1)[0]
+    flags = set(re.findall(r"--[a-z][a-z-]*", usage))
+    assert {"--dataset", "--lr", "--shuffle", "--random-init"} <= flags
+    sub = next(a for a in build_parser()._actions if a.choices and "train" in a.choices)
+    accepted = {o for p in sub.choices.values() for o in p._option_string_actions}
+    assert sorted(flags - accepted) == []
 
 
 class TestConsoleEntryPoint:

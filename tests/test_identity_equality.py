@@ -29,8 +29,8 @@ def _records():
         "DenseLayer": m.layers[0],
         "QDenseLayer": q.layers[0],
         "Model": q,
-        "FullTrace": forward_full(m, x, "fast"),
-        "QTrace": forward_int8(q, x_q),
+        "Trace-full": forward_full(m, x, "fast"),
+        "Trace-int8": forward_int8(q, x_q),
         "QTensor": x_q,
         "ActivationLUT": build_lut("tanh", QuantParams(-4), QuantParams(-7)),
         "Dataset": Dataset(np.zeros((3, 2)), np.ones((3, 1)), ("no", "yes")),

@@ -115,6 +115,16 @@ class TestModel:
         with pytest.raises(InvariantError):
             Model(layers)
 
+    # DenseLayer and QDenseLayer share one shape rule
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    @pytest.mark.parametrize("make", [
+        lambda w, b: DenseLayer(w, b, "tanh"),
+        lambda w, b: make_qlayer(w, b),
+    ], ids=["full", "quantized"])
+    def test_empty_layer_refused(self, make, shape):
+        with pytest.raises(InvariantError, match="layer dimensions must be >= 1"):
+            make(np.zeros(shape), np.zeros(shape[0]))
+
     def test_width_chain_checked(self):
         with pytest.raises(InvariantError, match="layer chain mismatch"):
             Model([DenseLayer(np.zeros((3, 2)), np.zeros(3), "tanh"),

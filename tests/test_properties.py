@@ -336,7 +336,7 @@ def oracle_backward_hybrid(qtrace, target, m, lr, feedback=None):
     delta = (a_cur - t) * activation_deriv(m.layers[-1].activation)(a_cur)
     for i in reversed(range(len(m.layers))):
         layer = m.layers[i]
-        a_prev = dequantize(qtrace.acts[i - 1]) if i > 0 else dequantize(qtrace.x_q)
+        a_prev = dequantize(qtrace.acts[i - 1]) if i > 0 else dequantize(qtrace.x)
         w = dequantize(layer.weights_q)
         b = layer.biases_q.astype(np.float32) * 2.0 ** layer.bias_exponent
         if i > 0:

@@ -57,6 +57,18 @@ class TestQTensor:
         with pytest.raises(ValueError):
             t.codes[0] = 5
 
+    # QTensor and ActivationLUT hold int8 codes; the cast must never round
+    # a fraction or wrap a value outside [-128, 127] into one
+    @pytest.mark.parametrize("make", [
+        lambda: QTensor(np.array([1.7, 2.2]), QuantParams(-7)),
+        lambda: QTensor(np.array([1.0, np.nan]), QuantParams(-7)),
+        lambda: ActivationLUT(np.arange(256), QuantParams(-4), QuantParams(-7), "tanh"),
+        lambda: ActivationLUT(np.full(256, 300.0), QuantParams(-4), QuantParams(-7), "tanh"),
+    ], ids=["qtensor-fractions", "qtensor-nan", "lut-0-to-255", "lut-300"])
+    def test_values_that_are_not_int8_codes_refused(self, make):
+        with pytest.raises(InvariantError, match="whole numbers in"):
+            make()
+
 
 class TestChooseExponent:
     def test_zero_tensor_default(self):
