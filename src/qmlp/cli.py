@@ -5,10 +5,11 @@ Subcommands: train, quantize, finetune, eval, report-memory, curves.
 LUTs and calibrates with the reference activations, as the tables are built
 once, off the device.
 
-Exit codes: 0 success, 2 usage/configuration error, 3 data, file-format or
-I/O error (a file that cannot be read or written, or is not UTF-8 text), 4
-invariant violation. All errors go to stderr as one line with the
-prefix ``error[<category>]:``.
+Exit codes: 0 success, 1 a warning that a warnings filter (such as
+``python -W error``) raised as an error, 2 usage/configuration error, 3
+data, file-format or I/O error (a file that cannot be read or written, or
+is not UTF-8 text), 4 invariant violation. All errors go to stderr as one
+line with the prefix ``error[<category>]:``.
 """
 
 import argparse
@@ -331,6 +332,10 @@ def cli_main(argv=None):
         # a file that cannot be opened, read or written, or is not UTF-8 text
         print(f"error[io]: {e}", file=sys.stderr)
         return 3
+    except Warning as e:
+        # a library warning that a filter such as python -W error raised
+        print(f"error[warning]: {e}", file=sys.stderr)
+        return 1
     finally:
         warnings.formatwarning = fmt
 

@@ -9,9 +9,32 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-_F32_ONE_BITS = 127 << 23  # exponent-field bias of float32 1.0
+
+def _const(value, dtype):
+    """A read-only 0-d array of ``dtype``: the form of every constant that
+    meets an array in a ufunc on the per-sample path.
+
+    numpy converts a Python or NumPy scalar operand to an array on every
+    call, a third of a small ufunc call's cost; a 0-d array is used as it
+    is. Its dtype must be that of the array it meets, so that the result
+    dtype and bits are those the weak Python scalar gave (NEP 50, and numpy
+    1.x value-based casting alike). Read-only, so that no ``out=`` can
+    write into a constant every later call shares.
+    """
+    c = np.array(value, dtype=dtype)
+    c.setflags(write=False)
+    return c
+
+
+_F32 = np.dtype(np.float32)
+_F64 = np.dtype(np.float64)
+_ONE32 = _const(1.0, np.float32)
+_HALF32 = _const(0.5, np.float32)
+_ONE64 = _const(1.0, np.float64)
+
+_F32_ONE_BITS = _const(127 << 23, np.int32)  # exponent-field bias of float32 1.0
 # Maps the natural-exp argument onto the float32 exponent field: 2^23 / ln 2.
-_EXP_SLOPE = float(1 << 23) / np.log(2.0)
+_EXP_SLOPE = _const(float(1 << 23) / np.log(2.0), np.float64)
 
 # fast_exp input clamp; beyond this the assembled bit pattern would leave the
 # finite float32 range. The clamp is applied on the scaled axis z = x*slope:
@@ -19,16 +42,18 @@ _EXP_SLOPE = float(1 << 23) / np.log(2.0)
 # the scaled bounds gives the z that clamping x first would.
 _EXP_X_MIN = -87.0
 _EXP_X_MAX = 88.0
-_EXP_Z_MIN = _EXP_X_MIN * _EXP_SLOPE
-_EXP_Z_MAX = _EXP_X_MAX * _EXP_SLOPE
-# _fast_exp_neg's float32 bound on |x| for each k: 87/k, as (87/k)*k = 87
-_EXP_NEG_AX_MAX = {k: np.float32(-_EXP_X_MIN / k) for k in (1, 2)}
+_EXP_Z_MIN = _const(_EXP_X_MIN * _EXP_SLOPE, np.float64)
+_EXP_Z_MAX = _const(_EXP_X_MAX * _EXP_SLOPE, np.float64)
+# _fast_exp_neg's float32 bound on |x| for each k, 87/k, as (87/k)*k = 87,
+# and its float64 slope -k*slope
+_EXP_NEG_AX_MAX = {k: _const(-_EXP_X_MIN / k, np.float32) for k in (1, 2)}
+_EXP_NEG_SLOPE = {k: _const(-k * _EXP_SLOPE, np.float64) for k in (1, 2)}
 
 
 # h, the largest float below 0.5 in each precision _round_half_away serves
 _BELOW_HALF = {
-    np.dtype(np.float32): np.float32(0.5 - 2.0**-25),
-    np.dtype(np.float64): 0.5 - 2.0**-54,
+    _F32: _const(0.5 - 2.0**-25, np.float32),
+    _F64: _const(0.5 - 2.0**-54, np.float64),
 }
 
 
@@ -58,10 +83,11 @@ def _round_half_away(x, lo=None, hi=None, dtype=None, out=None):
     one subtraction with no copysign pass. ``_fast_exp_neg``, whose z is
     never positive, is its one user.
 
-    ``lo``/``hi``, integers as floats, clamp before the truncation; numpy
-    resolves the type of an int bound on every call. ``dtype`` truncates by
-    casting instead of by ``np.trunc``; the values must fit it. ``out``
-    takes every step in place (it may be x itself, if x is a temporary).
+    ``lo``/``hi``, whole numbers as 0-d arrays of x's dtype (see
+    ``_const``), clamp before the truncation, in one ``clip`` pass.
+    ``dtype`` truncates by casting instead of by ``np.trunc``; the values
+    must fit it. ``out`` takes every step in place (it may be x itself, if
+    x is a temporary).
     """
     r = np.add(x, np.copysign(_BELOW_HALF[x.dtype], x), out=out)
     if lo is not None:
@@ -122,7 +148,8 @@ def fast_exp(x):
 
 
 def _fast_exp_neg(ax, k):
-    """fast_exp(-k*ax) for a float32 array ax >= 0 (ndim >= 1), k in {1, 2}.
+    """fast_exp(-k*ax) for a float32 array ax >= 0 (ndim >= 1), k in {1, 2};
+    ax is overwritten.
 
     ax is clamped to 87/k in float32, then multiplied in float64 by -k*slope
     (exact, as k is a power of two). Below the bound this is the z fast_exp
@@ -132,8 +159,10 @@ def _fast_exp_neg(ax, k):
     the scaled-axis clamp gives. As z <= 0, ``_round_half_away`` is
     trunc(z - h).
     """
-    z = np.multiply(np.minimum(ax, _EXP_NEG_AX_MAX[k]), -k * _EXP_SLOPE, dtype=np.float64)
-    return _exp_bits((z - _BELOW_HALF[z.dtype]).astype(np.int32))
+    ax = np.minimum(ax, _EXP_NEG_AX_MAX[k], out=ax)
+    z = np.multiply(ax, _EXP_NEG_SLOPE[k], dtype=np.float64)
+    z -= _BELOW_HALF[_F64]
+    return _exp_bits(z.astype(np.int32))
 
 
 def tanh_f(x):
@@ -147,7 +176,7 @@ def tanh_f(x):
     if xf.ndim == 0:
         return tanh_f(xf.reshape(1))[0]
     e = _fast_exp_neg(np.abs(xf), 2)
-    return np.copysign((1.0 - e) / (1.0 + e), xf)
+    return np.copysign((_ONE32 - e) / (_ONE32 + e), xf)
 
 
 def sigmoid_f(x):
@@ -162,8 +191,8 @@ def sigmoid_f(x):
     xf = np.asarray(x, dtype=np.float32)
     if xf.ndim == 0:
         return sigmoid_f(xf.reshape(1))[0]
-    p = 1.0 / (1.0 + _fast_exp_neg(np.abs(xf), 1))
-    return 0.5 + np.copysign(p - 0.5, xf)
+    p = _ONE32 / (_ONE32 + _fast_exp_neg(np.abs(xf), 1))
+    return _HALF32 + np.copysign(p - _HALF32, xf)
 
 
 def tanh_ref(x):
@@ -175,7 +204,7 @@ def sigmoid_ref(x):
     """Exact-math twin of sigmoid_f (platform exp in float64, float32 result)."""
     xf = np.asarray(x, dtype=np.float32)
     with np.errstate(over="ignore"):
-        out = (1.0 / (1.0 + np.exp(-xf.astype(np.float64)))).astype(np.float32)
+        out = (_ONE64 / (_ONE64 + np.exp(-xf.astype(np.float64)))).astype(np.float32)
     if np.ndim(x) == 0:
         return np.float32(out[()])
     return out
@@ -184,7 +213,7 @@ def sigmoid_ref(x):
 def tanh_deriv(y):
     """tanh derivative in output form: 1 - y**2, y = tanh(x)."""
     yf = np.asarray(y, dtype=np.float32)
-    out = 1.0 - np.square(yf)
+    out = _ONE32 - np.square(yf)
     if np.ndim(y) == 0:
         return np.float32(out[()])
     return out
@@ -193,7 +222,7 @@ def tanh_deriv(y):
 def sigmoid_deriv(y):
     """Sigmoid derivative in output form: y * (1 - y), y = sigmoid(x)."""
     yf = np.asarray(y, dtype=np.float32)
-    out = yf * (1.0 - yf)
+    out = yf * (_ONE32 - yf)
     if np.ndim(y) == 0:
         return np.float32(out[()])
     return out

@@ -24,6 +24,7 @@ from .quant import (
     ActivationLUT,
     QTensor,
     QuantParams,
+    _code_values,
     _from_codes,
     _requantize_lut,
     apply_lut,
@@ -267,9 +268,14 @@ def _batch(m, X, representation, what):
 
 def _float_layers(m, A, math_mode):
     """The float layer loop, on a row [in] or a batch [n x in]: yields each
-    layer's pre-activation Z = A W^T + b and its activation act(Z)."""
+    layer's pre-activation Z = A W^T + b and its activation act(Z).
+
+    A row's product goes through ``dot``, which skips matmul's ufunc set-up
+    (about 0.3 us of a 0.7 us call); a batch's through ``@``, whose BLAS
+    call is up to 25% faster on 1024 rows. Both give the same bits.
+    """
     for layer in m.layers:
-        Z = A @ layer.weights.T
+        Z = A.dot(layer.weights.T) if A.ndim == 1 else A @ layer.weights.T
         Z += layer.biases
         A = activation_fn(layer.activation, math_mode)(Z)
         yield Z, A
@@ -309,8 +315,10 @@ def _int8_kernel(codes, layer):
     2**31 - 1, as ``bias_code_limit`` proves. Both callers requantize it
     to the pre-activation scale.
     """
-    w = layer.weights_q.codes.astype(np.float64)
-    return codes.astype(np.float64) @ w.T + layer.biases_q
+    w = layer.weights_q.codes.astype(np.float64).T
+    a = codes.astype(np.float64)
+    # dot for a row, @ for a batch, as in _float_layers
+    return (a.dot(w) if a.ndim == 1 else a @ w) + layer.biases_q
 
 
 def linear_int8(x_q, layer):
@@ -357,7 +365,7 @@ def predict_int8(m, X):
     for layer in m.layers:
         acc = _int8_kernel(codes, layer)
         codes = _requantize_lut(acc, layer.requantize_shift_amount, layer.lut)
-    return codes.astype(np.float32) * np.float32(m.layers[-1].act_params.step)
+    return _code_values(codes, m.layers[-1].act_params)
 
 
 def _exponent_for_max(max_abs):

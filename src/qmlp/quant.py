@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DataError, InvariantError
-from .fastmath import ACTIVATION_NAMES, _round_half_away, activation_fn
+from .fastmath import _F32, _F64, ACTIVATION_NAMES, _const, _round_half_away, activation_fn
 
 EXPONENT_MIN = -24
 EXPONENT_MAX = 8
@@ -29,22 +29,37 @@ DEFAULT_PREACT_EXPONENT = -4
 
 CODE_MIN = -128
 CODE_MAX = 127
-_CODE_LO, _CODE_HI = float(CODE_MIN), float(CODE_MAX)  # clamp bounds, see _round_half_away
+# The code clamp's bounds in each precision a code is rounded from
+_CODE_BOUNDS = {
+    dt: (_const(CODE_MIN, dt), _const(CODE_MAX, dt)) for dt in (_F32, _F64)
+}
 
 # A layer's requantize shift is proven to lie in [-SHIFT_MAX, SHIFT_MAX] when
 # the layer is built or loaded.
 SHIFT_MAX = 31
 
+# 2**e as 0-d arrays, by exponent, in each precision: every power-of-two
+# scale the library applies (exponents, shifts, shift + 1 and their
+# negations, bias exponents) lies in [-_POW2_MAX, _POW2_MAX], where float32
+# holds it exactly as a normal number.
+_POW2_MAX = 64
+_POW2 = {
+    dt: {e: _const(2.0**e, dt) for e in range(-_POW2_MAX, _POW2_MAX + 1)}
+    for dt in (_F32, _F64)
+}
+
 # _requantize_lut clamps 2z to [-256, 255], the range of the fused table's
 # index before its offset of 256.
-_FUSED_LO, _FUSED_HI = -256.0, 255.0
-_FUSED_OFFSET = 256
+_FUSED_LO, _FUSED_HI = _const(-256, np.float64), _const(255, np.float64)
+_FUSED_OFFSET = _const(256, np.int16)
 # The code that fused-table entry k + 256 reads from the LUT,
 # clamp(round_half_away(k / 2)); the same for every LUT.
 _FUSED_CODES = _round_half_away(
-    np.arange(-_FUSED_OFFSET, _FUSED_OFFSET, dtype=np.float64) / 2, _CODE_LO, _CODE_HI, np.int8
+    np.arange(-256, 256, dtype=np.float64) / 2, *_CODE_BOUNDS[_F64], np.int8
 )
 _FUSED_CODES.setflags(write=False)
+# flips the top bit of an int8 code's uint8 view, see _lut_gather
+_TOP_BIT = _const(128, np.uint8)
 
 
 @dataclass(frozen=True)
@@ -170,13 +185,19 @@ def quantize(values, params):
     arr = np.asarray(values, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise DataError("quantize requires finite values")
-    codes = _round_half_away(arr / params.step, _CODE_LO, _CODE_HI, np.int8)
+    codes = _round_half_away(arr / _POW2[_F64][params.exponent], *_CODE_BOUNDS[_F64], np.int8)
     return _from_codes(codes, params)
+
+
+def _code_values(codes, params):
+    """The values of int8 codes at ``params``, v = q * 2**e in float32 (exact):
+    the one code-to-value rule."""
+    return codes.astype(np.float32) * _POW2[_F32][params.exponent]
 
 
 def dequantize(t):
     """Recover real values from a QTensor: v = q * 2**e (exact in float32)."""
-    return t.codes.astype(np.float32) * t.params.step
+    return _code_values(t.codes, t.params)
 
 
 def requantize_shift(acc, shift):
@@ -191,8 +212,8 @@ def requantize_shift(acc, shift):
     shift = int(shift)
     if not -SHIFT_MAX <= shift <= SHIFT_MAX:
         raise InvariantError(f"requantize shift {shift} outside [-{SHIFT_MAX}, {SHIFT_MAX}]")
-    z = np.multiply(acc, 2.0**shift, dtype=np.float64)
-    codes = _round_half_away(z, _CODE_LO, _CODE_HI, np.int8)
+    z = np.multiply(acc, _POW2[_F64][shift], dtype=np.float64)
+    codes = _round_half_away(z, *_CODE_BOUNDS[_F64], np.int8)
     if codes.ndim == 0:
         return int(codes)
     return codes
@@ -218,7 +239,7 @@ def _requantize_lut(acc, shift, lut):
     So the result is lut.fused[trunc(clip(y, -256, 255)) + 256]; the int16
     cast truncates, and the offset keeps the gather's indices non-negative.
     """
-    y = np.multiply(acc, 2.0 ** (shift + 1), out=acc)
+    y = np.multiply(acc, _POW2[_F64][shift + 1], out=acc)
     y.clip(_FUSED_LO, _FUSED_HI, out=y)
     k = y.astype(np.int16)
     k += _FUSED_OFFSET
@@ -242,7 +263,7 @@ def _lut_gather(table, codes):
 
     Flipping the top bit of a code's uint8 view gives code + 128.
     """
-    return table.take(codes.view(np.uint8) ^ 128)
+    return table.take(codes.view(np.uint8) ^ _TOP_BIT)
 
 
 def apply_lut(t, lut):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import predict_labels
 from .errors import ConfigurationError, FormatError, InvariantError
-from .fastmath import MATH_MODES, _round_half_away, activation_deriv
+from .fastmath import _F32, _F64, MATH_MODES, _round_half_away, activation_deriv
 from .metrics import check_fit
 from .nn import (
     FULL,
@@ -30,7 +30,7 @@ from .nn import (
     predict_full,
     predict_int8,
 )
-from .quant import _CODE_HI, _CODE_LO, _from_codes, dequantize, quantize
+from .quant import _CODE_BOUNDS, _POW2, _from_codes, dequantize, quantize
 
 DEFAULT_FLOAT_LR = 0.01
 # Fine-tuning default. Even at 0.05 most updates do not clear the weight
@@ -102,6 +102,7 @@ def backward_lsgd(trace, target, m, lr):
     neuron; the counter backs the node-delta property test).
     """
     t = np.asarray(target, dtype=np.float32)
+    lr = np.array(lr, dtype=np.float32)
     n_layers = len(m.layers)
     deltas = [None] * n_layers
     count = 0
@@ -112,7 +113,7 @@ def backward_lsgd(trace, target, m, lr):
         if i == n_layers - 1:
             deltas[i] = (a - t) * deriv
         else:
-            deltas[i] = (m.layers[i + 1].weights.T @ deltas[i + 1]) * deriv
+            deltas[i] = m.layers[i + 1].weights.T.dot(deltas[i + 1]) * deriv
         count += deltas[i].size
     for i, layer in enumerate(m.layers):
         a_prev = trace.acts[i - 1] if i > 0 else trace.x
@@ -221,16 +222,18 @@ def _requantize_params(w, b, layer, feedback, layer_idx):
     """
     w_exp = layer.weights_q.params.exponent
     b_exp = layer.bias_exponent
-    b_limit = float(bias_code_limit(layer.in_dim))
+    b_limit = bias_code_limit(layer.in_dim)
     if feedback is not None:
-        w = w + feedback.weights[layer_idx] * 2.0**-w_exp
-        b = b + feedback.biases[layer_idx] * 2.0**-b_exp
+        w = w + feedback.weights[layer_idx] * _POW2[_F32][-w_exp]
+        b = b + feedback.biases[layer_idx] * _POW2[_F32][-b_exp]
     b = b.astype(np.float64)
-    w_codes = _round_half_away(w, _CODE_LO, _CODE_HI, np.int8)
-    b_codes = _round_half_away(b, -b_limit, b_limit, np.int32)
+    w_codes = _round_half_away(w, *_CODE_BOUNDS[_F32], np.int8)
+    b_codes = _round_half_away(
+        b, np.array(-b_limit, dtype=np.float64), np.array(b_limit, dtype=np.float64), np.int32
+    )
     if feedback is not None:
-        feedback.weights[layer_idx] = (w - w_codes) * 2.0**w_exp
-        feedback.biases[layer_idx] = ((b - b_codes) * 2.0**b_exp).astype(np.float32)
+        feedback.weights[layer_idx] = (w - w_codes) * _POW2[_F32][w_exp]
+        feedback.biases[layer_idx] = ((b - b_codes) * _POW2[_F64][b_exp]).astype(np.float32)
     layer.weights_q = _from_codes(w_codes, layer.weights_q.params)
     layer.biases_q = b_codes
 
@@ -258,7 +261,9 @@ def backward_hybrid(qtrace, target, m, lr, feedback=None):
     mark.
     """
     t = np.asarray(target, dtype=np.float32)
-    lr = np.float32(lr)
+    # float32(lr) as a Python float: times 2**-e it is exact in float64, so
+    # casting the product rounds as the float32 multiply would
+    lr = float(np.float32(lr))
     n_layers = len(m.layers)
     peak_params = 0
     count = 0
@@ -277,12 +282,12 @@ def backward_hybrid(qtrace, target, m, lr, feedback=None):
         peak_params = max(peak_params, w.size + b.size)
         if i > 0:
             deriv_prev = activation_deriv(m.layers[i - 1].activation)(a_prev)
-            delta_below = (w.T @ delta) * 2.0**w_exp * deriv_prev
+            delta_below = w.T.dot(delta) * _POW2[_F32][w_exp] * deriv_prev
             count += delta_below.size
         else:
             delta_below = None
-        w -= (delta[:, None] * a_prev) * (lr * np.float32(2.0**-w_exp))
-        b -= delta * (lr * np.float32(2.0**-layer.bias_exponent))
+        w -= (delta[:, None] * a_prev) * np.array(lr * 2.0**-w_exp, dtype=np.float32)
+        b -= delta * np.array(lr * 2.0**-layer.bias_exponent, dtype=np.float32)
         _requantize_params(w, b, layer, feedback, i)
         del w, b
         delta = delta_below

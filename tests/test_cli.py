@@ -108,6 +108,29 @@ class TestQuantizeFinetuneEval:
         assert proc.stderr.startswith("warning: fine-tuning a quantized model from random")
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("case", ["saturation", "car-row-count"])
+    def test_warning_as_error_is_one_error_line(self, case, car_file, tmp_path):
+        # python -W error raises a library warning as an exception
+        if case == "saturation":
+            args = ["finetune", "--random-init", "--dataset", car_file]
+            message = "fine-tuning a quantized model from random initialization"
+        else:
+            short = tmp_path / "short.csv"
+            lines = Path(car_file).read_text(encoding="utf-8").splitlines(keepends=True)
+            short.write_text("".join(lines[:100]), encoding="utf-8")
+            args = ["train", "--dataset", str(short)]
+            message = f"{short}: 100 rows; the canonical car-acceptability file has 1728"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qmlp.cli", *args,
+             "--arch", "car_evaluation", "--epochs", "1", "--out", str(tmp_path / "m.bin")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"error[warning]: {message}")
+        assert not (tmp_path / "m.bin").exists()
+
     def test_eval_table_and_json(self, trained, car_file, capsys):
         model, _ = trained
         code, out, _ = run([
