@@ -98,11 +98,15 @@ def normalize_features(raw, lo, hi):
     return np.clip(out, -1.0, 1.0).astype(np.float32)
 
 
-def _read_rows(path):
+def _read_rows(path, n_cols):
+    """A UTF-8 CSV file's non-blank rows (numbered from 1), each n_cols wide."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise FormatError(f"{path}: no data rows")
+    for r, row in enumerate(rows, 1):
+        if len(row) != n_cols:
+            raise FormatError(f"{path}: row {r} has {len(row)} columns, expected {n_cols}")
     return rows
 
 
@@ -114,16 +118,12 @@ def load_car_evaluation(path):
     (unacc, acc, good, vgood). A row count other than the canonical 1728
     only warns.
     """
-    rows = _read_rows(path)
     n_cols = len(CAR_ATTRIBUTES) + 1
+    rows = _read_rows(path, n_cols)
     ordinals = np.empty((len(rows), len(CAR_ATTRIBUTES)), dtype=np.float64)
     targets = np.zeros((len(rows), len(CAR_CLASSES)), dtype=np.float32)
     class_index = {c: i for i, c in enumerate(CAR_CLASSES)}
     for r, row in enumerate(rows):
-        if len(row) != n_cols:
-            raise FormatError(
-                f"{path}: row {r + 1} has {len(row)} columns, expected {n_cols}"
-            )
         for c, (name, order) in enumerate(CAR_ATTRIBUTES):
             token = row[c].strip()
             try:
@@ -156,13 +156,9 @@ def read_numeric_csv(path, n_cols):
     A row with another column count raises FormatError; a cell that is not
     a finite number raises DataError naming its row and column.
     """
-    rows = _read_rows(path)
+    rows = _read_rows(path, n_cols)
     values = np.empty((len(rows), n_cols), dtype=np.float64)
     for r, row in enumerate(rows):
-        if len(row) != n_cols:
-            raise FormatError(
-                f"{path}: row {r + 1} has {len(row)} columns, expected {n_cols}"
-            )
         for c, cell in enumerate(row):
             try:
                 value = float(cell)

@@ -32,38 +32,23 @@ def confusion_matrix(y_true, y_pred, n_classes):
     return cm
 
 
-def _safe_div(num, den):
-    return num / den if den > 0 else 0.0
-
-
 def metrics_from_confusion(cm):
-    """Derive Metrics from a confusion matrix (binary for 2x2, else macro)."""
+    """Derive Metrics from a confusion matrix: per-class scores as vectors, each
+    ratio 0 where its denominator is 0; class 1's for a 2x2, else their means."""
     cm = np.asarray(cm, dtype=np.int64)
     n = int(cm.sum())
     if n == 0:
         raise ConfigurationError("cannot compute metrics over zero samples")
     accuracy = float(np.trace(cm)) / n
+    den = np.stack([cm.sum(axis=0), cm.sum(axis=1)])
+    precision, recall = np.divide(np.diagonal(cm), den, out=np.zeros(den.shape), where=den > 0)
+    pr_sum = precision + recall
+    f1 = np.divide(2.0 * precision * recall, pr_sum, out=np.zeros(pr_sum.shape), where=pr_sum > 0)
     if cm.shape == (2, 2):
-        tp, fp, fn = cm[1, 1], cm[0, 1], cm[1, 0]
-        precision = _safe_div(tp, tp + fp)
-        recall = _safe_div(tp, tp + fn)
-        f1 = _safe_div(2.0 * precision * recall, precision + recall)
-        return Metrics(cm, precision, recall, f1, accuracy, "binary")
-    per_p, per_r, per_f = [], [], []
-    for k in range(cm.shape[0]):
-        p = _safe_div(cm[k, k], cm[:, k].sum())
-        r = _safe_div(cm[k, k], cm[k, :].sum())
-        per_p.append(p)
-        per_r.append(r)
-        per_f.append(_safe_div(2.0 * p * r, p + r))
-    return Metrics(
-        cm,
-        float(np.mean(per_p)),
-        float(np.mean(per_r)),
-        float(np.mean(per_f)),
-        accuracy,
-        "macro",
-    )
+        scores, averaging = (precision[1], recall[1], f1[1]), "binary"
+    else:
+        scores, averaging = (precision.mean(), recall.mean(), f1.mean()), "macro"
+    return Metrics(cm, *map(float, scores), accuracy, averaging)
 
 
 def check_fit(m, *splits):

@@ -368,13 +368,6 @@ def predict_int8(m, X):
     return _code_values(codes, m.layers[-1].act_params)
 
 
-def _exponent_for_max(max_abs):
-    """Smallest exponent whose code range covers max_abs (see choose_exponent)."""
-    if max_abs <= 0:
-        return DEFAULT_ZERO_EXPONENT
-    return choose_exponent(np.array([max_abs])).exponent
-
-
 def quantize_model(m, calibration=None):
     """Post-training quantization of a full-precision model.
 
@@ -394,9 +387,9 @@ def quantize_model(m, calibration=None):
         X = _batch(m, calibration, FULL, "quantize_model's calibration set")
         if not len(X):
             raise DataError("calibration set has no rows")
-        input_exp = _exponent_for_max(float(np.max(np.abs(X))))
+        input_exp = choose_exponent(X).exponent
         for i, (Z, _) in enumerate(_float_layers(m, X, "reference")):
-            preact_exps[i] = _exponent_for_max(float(np.max(np.abs(Z))))
+            preact_exps[i] = choose_exponent(Z).exponent
 
     qlayers = []
     in_params = QuantParams(input_exp)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import predict_labels
+from .data import _read_rows, predict_labels
 from .errors import ConfigurationError, FormatError, InvariantError
 from .fastmath import _F32, _F64, MATH_MODES, _round_half_away, activation_deriv
 from .metrics import check_fit
@@ -98,27 +98,26 @@ def backward_lsgd(trace, target, m, lr):
     Output layer: delta_j = (a_j - t_j) * act'(a_j); hidden layers:
     delta_j = (sum_k w_kj delta_k) * act'(a_j), all from the layer above's
     pre-update weights. Updates: w_ji -= lr * delta_j * a_i,
-    b_j -= lr * delta_j. Returns the number of deltas computed (one per
-    neuron; the counter backs the node-delta property test).
+    b_j -= lr * delta_j, each layer's after it gives the delta below. Returns
+    the number of deltas computed (one per neuron; the counter backs the
+    node-delta property test).
     """
     t = np.asarray(target, dtype=np.float32)
     lr = np.array(lr, dtype=np.float32)
-    n_layers = len(m.layers)
-    deltas = [None] * n_layers
-    count = 0
-    for i in reversed(range(n_layers)):
+    a = trace.acts[-1]
+    delta = (a - t) * activation_deriv(m.layers[-1].activation)(a)
+    count = delta.size
+    for i in reversed(range(len(m.layers))):
         layer = m.layers[i]
-        a = trace.acts[i]
-        deriv = activation_deriv(layer.activation)(a)
-        if i == n_layers - 1:
-            deltas[i] = (a - t) * deriv
-        else:
-            deltas[i] = m.layers[i + 1].weights.T.dot(deltas[i + 1]) * deriv
-        count += deltas[i].size
-    for i, layer in enumerate(m.layers):
         a_prev = trace.acts[i - 1] if i > 0 else trace.x
-        layer.weights -= lr * (deltas[i][:, None] * a_prev)
-        layer.biases -= lr * deltas[i]
+        delta_below = None
+        if i > 0:
+            deriv_prev = activation_deriv(m.layers[i - 1].activation)(a_prev)
+            delta_below = layer.weights.T.dot(delta) * deriv_prev
+            count += delta_below.size
+        layer.weights -= lr * (delta[:, None] * a_prev)
+        layer.biases -= lr * delta
+        delta = delta_below
     return count
 
 
@@ -359,24 +358,21 @@ def write_curves_csv(records, path):
 def read_curves_csv(path):
     """Parse a curves CSV back into EpochRecord objects.
 
-    A file with no epoch rows, or with a cell that is not a finite number,
-    raises FormatError naming the row.
+    Rows come from ``data._read_rows``. A file with no epoch rows, or with a
+    cell that is not a finite number, raises FormatError naming the row.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != CURVES_HEADER:
+    rows = _read_rows(path, len(CURVES_HEADER))
+    if tuple(rows[0]) != CURVES_HEADER:
         raise FormatError(f"{path}: missing curves header {','.join(CURVES_HEADER)}")
     if len(rows) == 1:
         raise FormatError(f"{path}: no epoch rows after the header")
     records = []
-    for i, row in enumerate(rows[1:]):
-        if len(row) != 4:
-            raise FormatError(f"{path}: row {i + 2} has {len(row)} columns, expected 4")
+    for r, row in enumerate(rows[1:], 2):
         try:
             rec = EpochRecord(int(row[0]), float(row[1]), float(row[2]), float(row[3]))
         except ValueError:
-            raise FormatError(f"{path}: row {i + 2} is not numeric") from None
+            raise FormatError(f"{path}: row {r} is not numeric") from None
         if not np.isfinite([rec.train_acc, rec.val_acc, rec.train_loss]).all():
-            raise FormatError(f"{path}: row {i + 2} has a non-finite value")
+            raise FormatError(f"{path}: row {r} has a non-finite value")
         records.append(rec)
     return records

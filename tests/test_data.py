@@ -7,10 +7,12 @@ from qmlp.data import (
     load_car_evaluation,
     load_csv_generic,
     normalize_features,
+    read_numeric_csv,
     split,
     synth_cogdist,
 )
 from qmlp.errors import ConfigurationError, DataError, FormatError
+from qmlp.train import read_curves_csv
 
 
 def write(path, text):
@@ -118,6 +120,42 @@ class TestLoadCsvGeneric:
         p = write(tmp_path / "g.csv", "1,2,0.5\n")
         with pytest.raises(DataError):
             load_csv_generic(p, 2)
+
+
+# reader, its expected width, a valid row and a row with a bad cell; the
+# curves reader's first row is its header
+CSV_READERS = [
+    pytest.param(load_car_evaluation, 7, "low,low,2,2,small,low,unacc",
+                 "low,weird,2,2,small,low,acc", id="car"),
+    pytest.param(lambda p: read_numeric_csv(p, 4), 4, "1,2,3,4", "1,x,3,4", id="numeric"),
+    pytest.param(read_curves_csv, 4, "epoch,train_acc,val_acc,train_loss", "0,x,0.5,0.1",
+                 id="curves"),
+]
+
+
+class TestCsvRows:
+    """The three CSV readers share one row reader: blank lines are skipped and
+    not counted, and a row of the wrong width is one message, reported before
+    any cell is read."""
+
+    @pytest.mark.parametrize("reader, n_cols, good, bad", CSV_READERS)
+    def test_width_fault_same_message(self, tmp_path, reader, n_cols, good, bad):
+        p = write(tmp_path / "w.csv", f"{good}\n\n1,2,3\n")
+        with pytest.raises(FormatError) as err:
+            reader(p)
+        assert str(err.value) == f"{p}: row 2 has 3 columns, expected {n_cols}"
+
+    @pytest.mark.parametrize("reader, n_cols, good, bad", CSV_READERS)
+    def test_width_fault_reported_before_bad_cell(self, tmp_path, reader, n_cols, good, bad):
+        p = write(tmp_path / "w.csv", f"{good}\n{bad}\n1,2,3\n")
+        with pytest.raises(FormatError, match=f"row 3 has 3 columns, expected {n_cols}"):
+            reader(p)
+
+    @pytest.mark.parametrize("reader, n_cols, good, bad", CSV_READERS)
+    def test_empty_file_has_no_data_rows(self, tmp_path, reader, n_cols, good, bad):
+        p = write(tmp_path / "e.csv", "\n\n")
+        with pytest.raises(FormatError, match="no data rows"):
+            reader(p)
 
 
 class TestSynthCogdist:

@@ -1,8 +1,10 @@
 """Structure checks: the module layer order, no assert statements in the
-package, and the names the demos import."""
+package, the names the demos import, and the qmlp names README.md cites."""
 
 import ast
+import dataclasses
 import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,3 +61,42 @@ def test_demo_imports_exist():
                 for alias in node.names:
                     if alias.name.split(".")[0] == "qmlp":
                         importlib.import_module(alias.name)
+
+
+
+def _resolves(obj, parts):
+    if not parts:
+        return True
+    head, *rest = parts
+    if hasattr(obj, head):
+        return _resolves(getattr(obj, head), rest)
+    # a dataclass field with no class-level default exists only on instances
+    return not rest and dataclasses.is_dataclass(obj) and head in {
+        f.name for f in dataclasses.fields(obj)
+    }
+
+
+def test_readme_names_resolve():
+    # every backticked `module.name`, `qmlp.module.name` or `Class.field` in
+    # README.md that starts at a qmlp module or class must resolve, so a
+    # deletion or rename fails until the README follows
+    modules = {name: importlib.import_module(f"qmlp.{name}") for name in LAYERS}
+    classes = {
+        name: obj
+        for module in modules.values()
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and obj.__module__.startswith("qmlp.")
+    }
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    cited = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text))
+    checked, missing = 0, []
+    for dotted in sorted(cited):
+        first, *rest = dotted.removeprefix("qmlp.").split(".")
+        owner = modules.get(first, classes.get(first))
+        if owner is None:
+            continue  # not a qmlp name, e.g. `np.dot`
+        checked += 1
+        if not _resolves(owner, rest):
+            missing.append(dotted)
+    assert checked >= 20
+    assert not missing, f"README.md cites names qmlp does not have: {missing}"

@@ -55,6 +55,60 @@ class TestMetricsFromConfusion:
         assert met.f1 == 0.0
 
 
+def _frozen_safe_div(num, den):
+    return num / den if den > 0 else 0.0
+
+
+def _frozen_metrics(cm):
+    """Precision/recall/F1/accuracy as metrics_from_confusion computed them
+    with one scalar division per class, kept to pin the vector form's bits."""
+    cm = np.asarray(cm, dtype=np.int64)
+    accuracy = float(np.trace(cm)) / int(cm.sum())
+    if cm.shape == (2, 2):
+        tp, fp, fn = cm[1, 1], cm[0, 1], cm[1, 0]
+        precision = _frozen_safe_div(tp, tp + fp)
+        recall = _frozen_safe_div(tp, tp + fn)
+        f1 = _frozen_safe_div(2.0 * precision * recall, precision + recall)
+        return precision, recall, f1, accuracy, "binary"
+    per_p, per_r, per_f = [], [], []
+    for k in range(cm.shape[0]):
+        p = _frozen_safe_div(cm[k, k], cm[:, k].sum())
+        r = _frozen_safe_div(cm[k, k], cm[k, :].sum())
+        per_p.append(p)
+        per_r.append(r)
+        per_f.append(_frozen_safe_div(2.0 * p * r, p + r))
+    return (
+        float(np.mean(per_p)), float(np.mean(per_r)), float(np.mean(per_f)),
+        accuracy, "macro",
+    )
+
+
+def _bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+def test_scores_match_scalar_form_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for _ in range(3000):
+        k = int(rng.integers(2, 6))
+        cm = rng.integers(0, 9, (k, k))
+        # empty rows (a class never true) and columns (never predicted)
+        cm[rng.random(k) < 0.25, :] = 0
+        cm[:, rng.random(k) < 0.25] = 0
+        if cm.sum() == 0:
+            continue
+        met = metrics_from_confusion(cm)
+        *want, averaging = _frozen_metrics(cm)
+        got = (met.precision, met.recall, met.f1, met.accuracy)
+        assert [_bits(v) for v in got] == [_bits(v) for v in want], cm
+        assert met.averaging == averaging
+        np.testing.assert_array_equal(met.confusion, cm)
+        assert met.confusion.dtype == np.int64
+        checked += 1
+    assert checked > 2500
+
+
 class TestEvaluate:
     def _ds(self, n=64, seed=0):
         rng = np.random.default_rng(seed)

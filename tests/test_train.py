@@ -368,6 +368,11 @@ class TestCurvesCsv:
         with pytest.raises(FormatError, match=match):
             read_curves_csv(p)
 
+    def test_blank_line_skipped(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text("epoch,train_acc,val_acc,train_loss\n\n0,0.5,0.4,1.25\n\n")
+        assert [(r.epoch, r.val_acc) for r in read_curves_csv(p)] == [(0, 0.4)]
+
     def test_bad_header_rejected(self, tmp_path):
         from qmlp.errors import FormatError
 
