@@ -204,28 +204,18 @@ def sigmoid_ref(x):
     """Exact-math twin of sigmoid_f (platform exp in float64, float32 result)."""
     xf = np.asarray(x, dtype=np.float32)
     with np.errstate(over="ignore"):
-        out = (_ONE64 / (_ONE64 + np.exp(-xf.astype(np.float64)))).astype(np.float32)
-    if np.ndim(x) == 0:
-        return np.float32(out[()])
-    return out
+        return (_ONE64 / (_ONE64 + np.exp(-xf.astype(np.float64)))).astype(np.float32)
 
 
 def tanh_deriv(y):
     """tanh derivative in output form: 1 - y**2, y = tanh(x)."""
-    yf = np.asarray(y, dtype=np.float32)
-    out = _ONE32 - np.square(yf)
-    if np.ndim(y) == 0:
-        return np.float32(out[()])
-    return out
+    return _ONE32 - np.square(np.asarray(y, dtype=np.float32))
 
 
 def sigmoid_deriv(y):
     """Sigmoid derivative in output form: y * (1 - y), y = sigmoid(x)."""
     yf = np.asarray(y, dtype=np.float32)
-    out = yf * (_ONE32 - yf)
-    if np.ndim(y) == 0:
-        return np.float32(out[()])
-    return out
+    return yf * (_ONE32 - yf)
 
 
 _ACTIVATIONS = {

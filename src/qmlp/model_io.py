@@ -11,9 +11,9 @@ Layout (little-endian):
 
 Any structural problem (bad magic, unknown version, truncation, trailing
 bytes, a non-finite float parameter, inconsistent exponents, a requantize
-shift outside [-31, 31], a bias code outside the layer's int32 accumulator
-bound) raises FormatError with the byte offset; no partial model is ever
-returned.
+shift outside [-31, 31], a bias code outside +-``nn.BIAS_CODE_MAX``, the
+bound that keeps the int32 accumulator from overflowing) raises FormatError
+with the byte offset; no partial model is ever returned.
 """
 
 import struct
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .nn import FULL, QUANTIZED, DenseLayer, Model, QDenseLayer, bias_code_limit
+from .nn import BIAS_CODE_MAX, FULL, QUANTIZED, DenseLayer, Model, QDenseLayer
 from .quant import (
     EXPONENT_MAX,
     EXPONENT_MIN,
@@ -164,14 +164,12 @@ def load_model(path):
             codes = r.array(np.int8, out_dim * in_dim, f"layer {i} weight codes")
             at = r.offset
             biases = r.array("<i4", out_dim, f"layer {i} bias codes")
-            limit = bias_code_limit(in_dim)
-            bad = np.flatnonzero((biases < -limit) | (biases > limit))
+            bad = np.flatnonzero((biases < -BIAS_CODE_MAX) | (biases > BIAS_CODE_MAX))
             if bad.size:
                 j = int(bad[0])
                 raise FormatError(
-                    f"layer {i} bias code {biases[j]} outside +-{limit}, the bound "
-                    f"that keeps the int32 accumulator of a {in_dim}-input layer "
-                    f"from overflowing",
+                    f"layer {i} bias code {biases[j]} outside +-{BIAS_CODE_MAX}, the "
+                    f"bound that keeps the int32 accumulator from overflowing",
                     offset=at + 4 * j,
                 )
             table = r.array(np.int8, 256, f"layer {i} LUT")

@@ -43,30 +43,26 @@ ARCHITECTURES = {
     "car_evaluation": (6, [(32, "tanh"), (16, "tanh"), (4, "sigmoid")]),
 }
 
-_INT32_MAX = 2**31 - 1
-# Largest |int8 weight code * int8 input code|: 128 * 128.
-_PRODUCT_MAX = 2**14
-
-
-def bias_code_limit(in_dim):
-    """Largest |bias code| a layer of this fan-in may carry.
-
-    The kernel pre-loads the bias into the int32 accumulator and then adds
-    in_dim products of magnitude at most 2**14 each, so |acc| <= 2**31 - 1
-    holds for every input whenever |bias| <= 2**31 - 1 - 2**14 * in_dim.
-    """
-    return _INT32_MAX - _PRODUCT_MAX * in_dim
+# Largest layer dimension: the model file stores in_dim and out_dim as u16.
+DIM_MAX = 2**16 - 1
+# Largest |bias code|: float32 holds every integer up to 2**24, so the hybrid
+# trainer rounds bias codes in float32 like weight codes. The kernel adds at
+# most DIM_MAX products of magnitude at most 128 * 128 = 2**14 to the bias,
+# and 2**24 + 2**14 * DIM_MAX < 2**31, so no accumulator leaves int32.
+BIAS_CODE_MAX = 2**24
 
 
 def _check_layer_shape(weights, biases):
     """The shape every kernel assumes: weights [out x in], biases [out],
-    and out, in >= 1."""
+    and 1 <= out, in <= DIM_MAX."""
     if weights.ndim != 2 or biases.ndim != 1:
         raise InvariantError("weights must be [out x in], biases [out]")
     if weights.shape[0] != biases.shape[0]:
         raise InvariantError("weight rows and bias length differ")
     if 0 in weights.shape:
         raise InvariantError("layer dimensions must be >= 1")
+    if max(weights.shape) > DIM_MAX:
+        raise InvariantError(f"layer dimensions must be <= {DIM_MAX}, got {weights.shape}")
 
 
 @dataclass(eq=False)
@@ -101,10 +97,10 @@ class QDenseLayer:
 
     Bias codes are 32-bit integers at exponent (in + weight), so they add
     directly into the int32 accumulator without any per-sample shift. Their
-    magnitude is bounded by ``bias_code_limit(in_dim)`` when the layer is
-    built, which proves the kernel's accumulator never leaves int32; the
-    kernel itself does not check it again. Code that assigns new bias codes
-    afterwards (the hybrid trainer) clamps them to the same limit. The
+    magnitude is bounded by ``BIAS_CODE_MAX`` when the layer is built,
+    which proves the kernel's accumulator never leaves int32; the kernel
+    itself does not check it again. Code that assigns new bias codes
+    afterwards (the hybrid trainer) clamps them to the same bound. The
     requantize shift, in + weight - pre-activation exponent, is proven to
     lie in [-31, 31] when the layer is built, too.
 
@@ -124,12 +120,11 @@ class QDenseLayer:
     def __post_init__(self):
         biases = np.asarray(self.biases_q)
         _check_layer_shape(self.weights_q.codes, biases)
-        limit = bias_code_limit(self.in_dim)
         # min/max rather than abs: abs(int32 min) wraps to itself
-        if biases.min() < -limit or biases.max() > limit:
+        if biases.min() < -BIAS_CODE_MAX or biases.max() > BIAS_CODE_MAX:
             raise InvariantError(
-                f"bias code outside +-{limit}, the bound that keeps the int32 "
-                f"accumulator of a {self.in_dim}-input layer from overflowing"
+                f"bias code outside +-{BIAS_CODE_MAX}, the bound that keeps the "
+                f"int32 accumulator from overflowing"
             )
         self.biases_q = biases.astype(np.int32)
         self.preact_params = self.lut.in_params
@@ -308,12 +303,11 @@ def _int8_kernel(codes, layer):
 
     The products are summed by float64 BLAS, which is exact here: each
     product is an integer of magnitude at most 2**14, so every partial sum
-    is an integer below 2**14 * in_dim < 2**31 < 2**53 (``bias_code_limit``
-    is non-negative for every layer that exists), whatever order or fused
-    multiply-add the BLAS uses. The bias codes are added to that float64
-    sum, which stays exact because the total is an integer bounded by
-    2**31 - 1, as ``bias_code_limit`` proves. Both callers requantize it
-    to the pre-activation scale.
+    is an integer of magnitude at most 2**14 * DIM_MAX < 2**31 < 2**53,
+    whatever order or fused multiply-add the BLAS uses. The bias codes are
+    added to that float64 sum, which stays exact because the total is an
+    integer of magnitude at most BIAS_CODE_MAX + 2**14 * DIM_MAX < 2**31.
+    Both callers requantize it to the pre-activation scale.
     """
     w = layer.weights_q.codes.astype(np.float64).T
     a = codes.astype(np.float64)

@@ -19,12 +19,12 @@ import numpy as np
 
 from .data import _read_rows, predict_labels
 from .errors import ConfigurationError, FormatError, InvariantError
-from .fastmath import _F32, _F64, MATH_MODES, _round_half_away, activation_deriv
+from .fastmath import _F32, MATH_MODES, _const, _round_half_away, activation_deriv
 from .metrics import check_fit
 from .nn import (
+    BIAS_CODE_MAX,
     FULL,
     QUANTIZED,
-    bias_code_limit,
     forward_full,
     forward_int8,
     predict_full,
@@ -37,6 +37,9 @@ DEFAULT_FLOAT_LR = 0.01
 # quantization step: on synth-car after 100 float epochs and PTQ, 99.7% of
 # non-zero weight updates left the code unchanged.
 DEFAULT_FINETUNE_LR = 0.05
+
+# The bias code clamp's bounds, in the float32 that bias codes round from
+_BIAS_BOUNDS = (_const(-BIAS_CODE_MAX, _F32), _const(BIAS_CODE_MAX, _F32))
 
 
 class SaturationWarning(UserWarning):
@@ -116,7 +119,9 @@ def backward_lsgd(trace, target, m, lr):
             delta_below = layer.weights.T.dot(delta) * deriv_prev
             count += delta_below.size
         layer.weights -= lr * (delta[:, None] * a_prev)
-        layer.biases -= lr * delta
+        # a fresh array, not -=: an in-place update of a one-element array
+        # (cogdist's output layer) costs 0.3 us more
+        layer.biases = layer.biases - lr * delta
         delta = delta_below
     return count
 
@@ -188,11 +193,13 @@ class HybridBackwardStats:
 
 @dataclass(eq=False)
 class FeedbackState:
-    """Optional error-feedback residuals, one float buffer per parameter tensor.
+    """Optional error-feedback residuals, one float32 buffer per parameter tensor.
 
     Stores the part of each update lost to requantization so it can be
     re-applied on later steps, at the documented memory cost of a float
-    shadow per parameter.
+    shadow per parameter. Each residual is in its tensor's own code units
+    (a residual r stands for the real value r * 2**e), as the updated
+    parameter minus its new codes.
     """
 
     weights: list
@@ -211,28 +218,22 @@ def _requantize_params(w, b, layer, feedback, layer_idx):
 
     ``w`` and ``b`` are float32 arrays in the layer's own code units: the
     real weight is ``w * 2**e_w`` and the real bias ``b * 2**e_b``, with
-    e_w the weight exponent and e_b the bias exponent. Both round by
-    ``_round_half_away``, the weights in float32 and the biases in float64;
-    weight codes saturate at the int8 range, and bias codes at the layer's
-    ``bias_code_limit``, which keeps the accumulator bound proven when the
-    layer was built. The error-feedback residuals stay in real units: they
-    are scaled into code units before they join the update, and what
-    rounding leaves over is scaled back.
+    e_w the weight exponent and e_b the bias exponent. Both round in
+    float32 by ``_round_half_away``; weight codes saturate at the int8
+    range, and bias codes at +-``BIAS_CODE_MAX``, the bound proven when
+    the layer was built, up to which float32 holds every integer. The
+    error-feedback residuals are in the same code units: each joins its
+    update, and what rounding leaves over, x - codes, replaces it.
     """
-    w_exp = layer.weights_q.params.exponent
-    b_exp = layer.bias_exponent
-    b_limit = bias_code_limit(layer.in_dim)
     if feedback is not None:
-        w = w + feedback.weights[layer_idx] * _POW2[_F32][-w_exp]
-        b = b + feedback.biases[layer_idx] * _POW2[_F32][-b_exp]
-    b = b.astype(np.float64)
+        w = w + feedback.weights[layer_idx]
+        b = b + feedback.biases[layer_idx]
     w_codes = _round_half_away(w, *_CODE_BOUNDS[_F32], np.int8)
-    b_codes = _round_half_away(
-        b, np.array(-b_limit, dtype=np.float64), np.array(b_limit, dtype=np.float64), np.int32
-    )
+    b_codes = _round_half_away(b, *_BIAS_BOUNDS, np.int32)
     if feedback is not None:
-        feedback.weights[layer_idx] = (w - w_codes) * _POW2[_F32][w_exp]
-        feedback.biases[layer_idx] = ((b - b_codes) * _POW2[_F64][b_exp]).astype(np.float32)
+        feedback.weights[layer_idx] = w - w_codes
+        # float32 holds every bias code; int32 - float32 alone would give float64
+        feedback.biases[layer_idx] = np.subtract(b, b_codes, dtype=_F32)
     layer.weights_q = _from_codes(w_codes, layer.weights_q.params)
     layer.biases_q = b_codes
 
@@ -252,8 +253,8 @@ def backward_hybrid(qtrace, target, m, lr, feedback=None):
     power-of-two scale commutes with float32 rounding, so ``_requantize_params``
     rounds the same values a dequantize, update and divide in real units
     would give, except where an intermediate is subnormal (below 2**-126) in
-    one unit but not the other. That never moves a code, but with error
-    feedback on it can change the low bits of a tiny residual.
+    one unit but not the other; that never moves a code. The error-feedback
+    residuals are kept in code units too.
 
     At most one layer's parameters and two activation vectors exist in
     float at any moment; the returned stats carry the measured high-water
@@ -286,7 +287,8 @@ def backward_hybrid(qtrace, target, m, lr, feedback=None):
         else:
             delta_below = None
         w -= (delta[:, None] * a_prev) * np.array(lr * 2.0**-w_exp, dtype=np.float32)
-        b -= delta * np.array(lr * 2.0**-layer.bias_exponent, dtype=np.float32)
+        # a fresh array, not -=, as in backward_lsgd
+        b = b - delta * np.array(lr * 2.0**-layer.bias_exponent, dtype=np.float32)
         _requantize_params(w, b, layer, feedback, i)
         del w, b
         delta = delta_below

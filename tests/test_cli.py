@@ -332,6 +332,23 @@ BAD_INPUTS = [
                   "--dataset", "{car}", "--out", "{out}"], 2, "usage",
                  "argument --random-init: not allowed with argument model",
                  id="finetune-model-and-random-init"),
+    # a model file or an option that does not fit the command
+    pytest.param(["quantize", "{qmodel}", "--out", "{out}"], 2, "config",
+                 "quantize expects a full-precision model file", id="quantize-quantized-model"),
+    pytest.param(["finetune", "{model}", "--arch", "car_evaluation", "--dataset", "{car}",
+                  "--out", "{out}"], 2, "config", "finetune expects a quantized model file",
+                 id="finetune-full-model"),
+    pytest.param(["finetune", "--random-init", "--dataset", "{car}", "--out", "{out}"], 2,
+                 "config", "--random-init requires --arch", id="finetune-random-init-no-arch"),
+    pytest.param(["report-memory", "{qmodel}"], 2, "config",
+                 "report-memory expects a full-precision model file or --arch",
+                 id="report-memory-quantized-model"),
+    pytest.param(["eval", "{model}", "--on", "all", "--dataset", "synth-cogdist"], 2, "config",
+                 "--on all needs a dataset with fixed normalization", id="eval-on-all-cogdist"),
+    pytest.param(["eval", "{model}", "--dataset", "{car}"], 2, "config",
+                 "loading a dataset from a path needs --arch", id="eval-dataset-path-no-arch"),
+    pytest.param(["train", "--arch", "car_evaluation", "--out", "{out}"], 2, "config",
+                 "--dataset is required for this command", id="train-no-dataset"),
 ]
 
 

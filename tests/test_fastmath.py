@@ -172,6 +172,16 @@ class TestDerivatives:
                 assert type(g) is np.float32
                 assert g.view(np.uint32) == w.view(np.uint32)
 
+    @pytest.mark.parametrize("fn", [tanh_deriv, sigmoid_deriv, sigmoid_ref])
+    @pytest.mark.parametrize(
+        "x", [0.25, np.float32(0.25), np.array(0.25), np.array(0.25, dtype=np.float32)],
+        ids=["float", "np.float32", "0-d float64", "0-d float32"],
+    )
+    def test_scalar_in_float32_scalar_out(self, fn, x):
+        got = fn(x)
+        assert type(got) is np.float32
+        assert got == fn(np.array([x], dtype=np.float32))[0]
+
 
 class TestRegistry:
     def test_lookup(self):

@@ -5,7 +5,7 @@ import pytest
 
 from qmlp.errors import FormatError
 from qmlp.model_io import MAGIC, load_model, save_model
-from qmlp.nn import build_model, quantize_model
+from qmlp.nn import BIAS_CODE_MAX, DIM_MAX, Model, QDenseLayer, build_model, quantize_model
 
 
 @pytest.fixture
@@ -47,6 +47,24 @@ class TestRoundTrip:
             assert a.in_params == b.in_params
             assert a.preact_params == b.preact_params
             assert a.act_params == b.act_params
+
+    def test_widest_layer_round_trips(self, tmp_path):
+        # in_dim is a u16 field; the widest layer fills it, and its bias code
+        # may sit at the bound
+        m = build_model((DIM_MAX, [(1, "sigmoid")]), 0)
+        q = quantize_model(m).layers[0]
+        q = Model([QDenseLayer(q.weights_q, [-BIAS_CODE_MAX], q.in_params, q.lut)])
+        for model in (m, q):
+            path = tmp_path / "m.bin"
+            save_model(model, path)
+            data = path.read_bytes()
+            assert struct.unpack_from("<H", data, 9) == (DIM_MAX,)
+            back = load_model(path)
+            assert back.representation == model.representation
+            # saved again, the loaded model gives the same bytes
+            save_model(back, path)
+            assert path.read_bytes() == data
+        assert back.layers[0].biases_q.tolist() == [-BIAS_CODE_MAX]
 
     def test_save_is_deterministic(self, full_model, tmp_path):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -169,7 +187,7 @@ class TestFormatErrors:
             load_model(path)
         assert ei.value.offset == offset + 2
 
-    @pytest.mark.parametrize("code", [2**31 - 1, -(2**31)])
+    @pytest.mark.parametrize("code", [2**31 - 1, -(2**31), BIAS_CODE_MAX + 1])
     def test_bias_code_outside_accumulator_bound(self, quantized_model, tmp_path, code):
         path = tmp_path / "q.bin"
         save_model(quantized_model, path)

@@ -3,7 +3,8 @@ import pytest
 
 from qmlp.errors import ConfigurationError, DataError, InvariantError
 from qmlp.nn import (
-    bias_code_limit,
+    BIAS_CODE_MAX,
+    DIM_MAX,
     build_model,
     clone_model,
     forward_full,
@@ -123,6 +124,17 @@ class TestModel:
     ], ids=["full", "quantized"])
     def test_empty_layer_refused(self, make, shape):
         with pytest.raises(InvariantError, match="layer dimensions must be >= 1"):
+            make(np.zeros(shape), np.zeros(shape[0]))
+
+    # the model file stores each dimension as u16
+    @pytest.mark.parametrize("shape", [(DIM_MAX + 1, 1), (1, DIM_MAX + 1)])
+    @pytest.mark.parametrize("make", [
+        lambda w, b: DenseLayer(w, b, "tanh"),
+        lambda w, b: make_qlayer(w, b),
+    ], ids=["full", "quantized"])
+    def test_dimension_past_u16_refused(self, make, shape):
+        assert DIM_MAX == 65535
+        with pytest.raises(InvariantError, match="layer dimensions must be <= 65535"):
             make(np.zeros(shape), np.zeros(shape[0]))
 
     def test_width_chain_checked(self):
@@ -271,11 +283,17 @@ class TestLinearInt8:
 
 class TestBiasCodeBound:
     def test_limit_leaves_room_for_every_product(self):
-        assert bias_code_limit(6) == 2**31 - 1 - 6 * 128 * 128
+        # float32 holds every integer up to the bound, and not the one past it
+        assert BIAS_CODE_MAX == 2**24
+        assert int(np.float32(BIAS_CODE_MAX)) == BIAS_CODE_MAX
+        assert int(np.float32(BIAS_CODE_MAX + 1)) != BIAS_CODE_MAX + 1
+        # the bias plus DIM_MAX products of magnitude 128 * 128 stays in int32
+        assert BIAS_CODE_MAX + 128 * 128 * DIM_MAX <= 2**31 - 1
+        assert -BIAS_CODE_MAX - 128 * 128 * DIM_MAX >= -(2**31)
 
     @pytest.mark.parametrize("in_dim", [1, 6, 40])
     def test_limit_accepted_one_past_refused(self, in_dim):
-        limit = bias_code_limit(in_dim)
+        limit = BIAS_CODE_MAX
         w = np.zeros((2, in_dim))
         make_qlayer(w, [limit, -limit])
         for bad in (limit + 1, -limit - 1):

@@ -19,9 +19,10 @@ from hypothesis.extra.numpy import arrays
 
 from qmlp.fastmath import _round_half_away, activation_deriv
 from qmlp.nn import (
+    BIAS_CODE_MAX,
+    DIM_MAX,
     Model,
     QDenseLayer,
-    bias_code_limit,
     clone_model,
     forward_int8,
     linear_int8,
@@ -113,7 +114,7 @@ class TestRequantizeShift:
 
 @st.composite
 def qlayers(draw, in_dim=None, in_e=None, w_exps=st.integers(-16, 0)):
-    """A random quantized layer whose bias codes often sit at +-bias_code_limit."""
+    """A random quantized layer whose bias codes often sit at +-BIAS_CODE_MAX."""
     if in_dim is None:
         in_dim = draw(st.integers(1, 8))
     out_dim = draw(st.integers(1, 6))
@@ -122,7 +123,7 @@ def qlayers(draw, in_dim=None, in_e=None, w_exps=st.integers(-16, 0)):
     w_e = draw(w_exps)
     acc_e = in_e + w_e
     shift = draw(st.integers(max(-31, acc_e - 8), min(31, acc_e + 24)))
-    limit = bias_code_limit(in_dim)
+    limit = BIAS_CODE_MAX
     biases = draw(st.lists(
         st.one_of(st.sampled_from([-limit, limit]), st.integers(-limit, limit)),
         min_size=out_dim, max_size=out_dim,
@@ -157,21 +158,31 @@ class TestKernel:
         assert got.params == layer.preact_params
         assert got.codes.tolist() == reference_kernel(x.tolist(), layer)
 
-    def test_extreme_inputs_reach_exactly_the_int32_edge(self):
-        in_dim = 6
-        limit = bias_code_limit(in_dim)
-        preact, out = QuantParams(-8), QuantParams(-7)
+    def test_extreme_inputs_reach_the_largest_valid_accumulator(self):
+        # The widest layer, its bias codes at the bound, and weight and input
+        # codes that give every product its largest magnitude: 128 * 128
+        # above the bias, and 127 * 128 below it. A right shift by 24 brings
+        # both accumulators, the largest and smallest any valid layer holds,
+        # into the code range. The table is the identity, so the codes reach
+        # the output.
+        w = np.array([[-128] * DIM_MAX, [127] * DIM_MAX], dtype=np.int8)
+        preact = QuantParams(0)
         layer = QDenseLayer(
-            weights_q=QTensor(np.full((2, in_dim), -128, dtype=np.int8), QuantParams(-8)),
-            biases_q=np.array([limit, -limit], dtype=np.int32),
-            in_params=QuantParams(0),
-            lut=build_lut("tanh", preact, out),
+            weights_q=QTensor(w, QuantParams(-8)),
+            biases_q=np.array([BIAS_CODE_MAX, -BIAS_CODE_MAX], dtype=np.int32),
+            in_params=QuantParams(-16),
+            lut=ActivationLUT(np.arange(CODE_MIN, CODE_MAX + 1), preact, preact, "tanh"),
         )
-        x = np.full(in_dim, -128, dtype=np.int8)
-        assert limit + 2**14 * in_dim == ACC_MAX
-        assert layer.requantize_shift_amount == 0
+        x = np.full(DIM_MAX, -128, dtype=np.int8)
+        accs = [b + int(row.astype(np.int64) @ x) for b, row in zip(layer.biases_q, w)]
+        assert accs == [BIAS_CODE_MAX + 2**14 * DIM_MAX, -BIAS_CODE_MAX - 127 * 128 * DIM_MAX]
+        assert layer.requantize_shift_amount == -24
+        want = reference_kernel(x.tolist(), layer)
+        assert want == [65, -64]
         got = linear_int8(QTensor(x, layer.in_params), layer)
-        assert got.codes.tolist() == reference_kernel(x.tolist(), layer) == [127, -128]
+        assert got.codes.tolist() == want
+        X = (x * np.float32(layer.in_params.step))[None]
+        assert (predict_int8(Model([layer]), X) / preact.step).tolist() == [want]
 
     @no_deadline
     @given(st.data())
@@ -203,9 +214,8 @@ def wide_case(w, x, right, targets):
     ``targets``, then requantize them with a right shift by ``right``.
     """
     in_e, w_e = -7, -7
-    limit = bias_code_limit(w.shape[1])
     sums = w.astype(np.int64) @ x[0].astype(np.int64)
-    biases = [max(-limit, min(limit, t - int(s))) for t, s in zip(targets, sums)]
+    biases = [t - int(s) for t, s in zip(targets, sums)]
     preact = QuantParams(in_e + w_e + right)
     layer = QDenseLayer(
         weights_q=QTensor(w, QuantParams(w_e)),
@@ -223,7 +233,9 @@ def wide_cases(draw):
     The first row's accumulators sit on or next to a rounding tie of the
     shift, often a shift of zero, where an accumulator off by one changes
     the code. All-127 codes drive the partial sums past 2**24, where float32
-    stops holding every integer.
+    stops holding every integer. A bias code moves an accumulator by at
+    most BIAS_CODE_MAX, so where that cannot bring a sum into the code
+    range the shift is widened until it can.
     """
     in_dim = draw(st.integers(1025, 4096))
     out_dim = draw(st.integers(1, 3))
@@ -238,22 +250,36 @@ def wide_cases(draw):
     else:
         w = np.full((out_dim, in_dim), fill, dtype=np.int8)
         x = np.full((n_rows, in_dim), fill, dtype=np.int8)
+    sums = (w.astype(np.int64) @ x[0].astype(np.int64)).tolist()
     right = draw(st.one_of(st.just(0), st.integers(1, 12)))
+    while any(lo > hi for lo, hi in (reachable_codes(s, right) for s in sums)):
+        right += 1
     half = (1 << right) // 2
     nudges = st.sampled_from([-half - 1, -half, -half + 1, 0, half - 1, half, half + 1])
     targets = [
-        (draw(st.integers(CODE_MIN, CODE_MAX)) << right) + draw(nudges)
-        for _ in range(out_dim)
+        (draw(st.integers(*reachable_codes(s, right))) << right) + draw(nudges)
+        for s in sums
     ]
     return wide_case(w, x, right, targets)
 
 
-# 127 * 127 * 1087 is odd and above 2**24: a float32 sum of it is not exact
+def reachable_codes(s, right):
+    """The codes c in [-128, 127] whose accumulator c * 2**right, nudged by
+    up to half a step and one, lies within a bias code of the sum s."""
+    margin = (1 << right) // 2 + 1
+    lo = -((BIAS_CODE_MAX - margin - s) >> right)  # ceil((s - bound + margin) / 2**right)
+    hi = (s + BIAS_CODE_MAX - margin) >> right
+    return max(CODE_MIN, lo), min(CODE_MAX, hi)
+
+
+# 127 * 127 * 1041 is odd and above 2**24: a float32 sum of it is not exact.
+# It is 2**24 + 13073, so the bias codes leave at least 13073 = 102.1 * 2**7;
+# the accumulators sit on a tie and one below a tie of a right shift by 7.
 ALL_127 = wide_case(
-    np.full((2, 1087), CODE_MAX, dtype=np.int8),
-    np.full((2, 1087), CODE_MAX, dtype=np.int8),
-    0,
-    [5, -3],
+    np.full((2, 1041), CODE_MAX, dtype=np.int8),
+    np.full((2, 1041), CODE_MAX, dtype=np.int8),
+    7,
+    [(110 << 7) + 64, (103 << 7) + 63],
 )
 
 
@@ -262,7 +288,7 @@ class TestWideFanIn:
 
     @wide
     @given(wide_cases())
-    @example(ALL_127).via("odd partial sums past 2**24 at a shift of zero")
+    @example(ALL_127).via("odd partial sums past 2**24 on a tie of a right shift by 7")
     def test_linear_int8_matches_rational_reference(self, case):
         layer, x = case
         for row in x:
@@ -271,7 +297,7 @@ class TestWideFanIn:
 
     @wide
     @given(wide_cases())
-    @example(ALL_127).via("odd partial sums past 2**24 at a shift of zero")
+    @example(ALL_127).via("odd partial sums past 2**24 on a tie of a right shift by 7")
     def test_predict_int8_matches_rational_reference(self, case):
         layer, x = case
         m = Model([layer])
@@ -295,8 +321,7 @@ class TestRequantizeParams:
             in_params=QuantParams(in_e),
             lut=build_lut("tanh", preact, out),
         )
-        limit = bias_code_limit(in_dim)
-        b_step = 2.0 ** layer.bias_exponent
+        limit = BIAS_CODE_MAX
         # w and b are in code units
         b = np.array([sign * scale * limit, 3], dtype=np.float32)
         w = np.zeros((2, in_dim), dtype=np.float32)
@@ -306,16 +331,17 @@ class TestRequantizeParams:
 
         assert layer.biases_q.tolist() == [sign * limit, 3]
         if fb is not None:
-            # the residual keeps everything the clamp cut off, in real units
-            assert fb.biases[0][0] == np.float32((float(b[0]) - sign * limit) * b_step)
-            assert fb.biases[0][1] == 0.0
+            # the residual keeps everything the clamp cut off, in code units
+            assert fb.biases[0].dtype == np.float32
+            assert fb.biases[0].tolist() == [np.float32(float(b[0]) - sign * limit), 0.0]
+            assert not fb.weights[0].any()
 
 
 def oracle_requantize_params(w, b, layer, feedback, layer_idx):
     """The value-unit requantize step: w and b are real parameter values."""
     w_step = layer.weights_q.params.step
     b_step = 2.0 ** layer.bias_exponent
-    b_limit = bias_code_limit(layer.in_dim)
+    b_limit = BIAS_CODE_MAX
     if feedback is not None:
         w = w + feedback.weights[layer_idx]
         b = b + feedback.biases[layer_idx]
@@ -353,14 +379,19 @@ def oracle_backward_hybrid(qtrace, target, m, lr, feedback=None):
 # A subnormal intermediate (below 2**-126) is rounded to a multiple of
 # 2**-149 in one unit and not in the other. lr <= 1e6 < 2**20 and the
 # weights scale that difference up only so far, so it can change a residual
-# only where both readings are tiny; every difference seen was below 2**-125.
+# only where both readings are tiny; every difference seen was below 2**-125
+# in real units.
 TINY_RESIDUAL = 2.0**-100
 
 
-def assert_same_residuals(got, want):
-    got, want = np.asarray(got), np.asarray(want)
+def assert_same_residuals(got, want, exponent):
+    """``got``, a residual in code units, read in real units by the exact
+    float64 scale 2**exponent, has the bits of ``want``, the oracle's
+    residual in real units, except where both are tiny."""
     assert got.dtype == want.dtype == np.float32
-    differs = got.view(np.uint32) != want.view(np.uint32)
+    got = got.astype(np.float64) * 2.0**exponent
+    want = want.astype(np.float64)
+    differs = got.view(np.uint64) != want.view(np.uint64)
     assert np.all(np.abs(got[differs]) < TINY_RESIDUAL), (got, want)
     assert np.all(np.abs(want[differs]) < TINY_RESIDUAL), (got, want)
 
@@ -369,8 +400,8 @@ def train_both(m, samples, lr, error_feedback):
     """Run backward_hybrid on m and the oracle on a clone, sample by sample.
 
     After every step the weight and bias codes must be equal, and so must
-    the error-feedback residuals' bits, except where both are tiny. Returns
-    both feedback states.
+    the error-feedback residuals' bits, read in real units, except where
+    both are tiny. Returns both feedback states.
     """
     oracle = clone_model(m)
     fb_got = FeedbackState.for_model(m) if error_feedback else None
@@ -383,12 +414,34 @@ def train_both(m, samples, lr, error_feedback):
             assert got.weights_q.codes.tolist() == want.weights_q.codes.tolist()
             assert got.biases_q.tolist() == want.biases_q.tolist()
         if error_feedback:
-            for got, want in zip(fb_got.weights + fb_got.biases, fb_want.weights + fb_want.biases):
-                assert_same_residuals(got, want)
+            for i, layer in enumerate(m.layers):
+                w_exp = layer.weights_q.params.exponent
+                assert_same_residuals(fb_got.weights[i], fb_want.weights[i], w_exp)
+                assert_same_residuals(fb_got.biases[i], fb_want.biases[i], layer.bias_exponent)
     return fb_got, fb_want
 
 
 LEARNING_RATES = [0.0, 1e-4, 0.05, 1.0, 1e6]
+
+
+@st.composite
+def qmodels(draw):
+    """One to three chained qlayers(), weight exponents over the whole range."""
+    w_exps = st.integers(EXPONENT_MIN, EXPONENT_MAX)
+    layers = [draw(qlayers(w_exps=w_exps))]
+    for _ in range(draw(st.integers(0, 2))):
+        prev = layers[-1]
+        layers.append(draw(qlayers(prev.out_dim, prev.act_params.exponent, w_exps)))
+    return Model(layers)
+
+
+def samples_for(m):
+    """(input codes, float32 targets) for m; targets include zeros and
+    subnormals, so deltas can be subnormal too."""
+    targets = st.floats(-1.5, 1.5, width=32)
+    return st.tuples(
+        arrays(np.int8, m.input_dim), arrays(np.float32, m.output_dim, elements=targets)
+    )
 
 
 class TestBackwardHybridInCodeUnits:
@@ -398,23 +451,24 @@ class TestBackwardHybridInCodeUnits:
     @no_deadline
     @given(st.data(), st.sampled_from(LEARNING_RATES), st.booleans())
     def test_matches_the_value_unit_oracle(self, data, lr, error_feedback):
-        w_exps = st.integers(EXPONENT_MIN, EXPONENT_MAX)
-        layers = [data.draw(qlayers(w_exps=w_exps))]
-        for _ in range(data.draw(st.integers(0, 2))):
-            prev = layers[-1]
-            layers.append(data.draw(qlayers(prev.out_dim, prev.act_params.exponent, w_exps)))
-        m = Model(layers)
-        # targets include zeros and subnormals, so deltas can be subnormal too
-        targets = st.floats(-1.5, 1.5, width=32)
-        samples = data.draw(st.lists(
-            st.tuples(
-                arrays(np.int8, m.input_dim),
-                arrays(np.float32, m.output_dim, elements=targets),
-            ),
-            min_size=1, max_size=3,
-        ))
+        m = data.draw(qmodels())
+        samples = data.draw(st.lists(samples_for(m), min_size=1, max_size=3))
         with np.errstate(over="ignore", invalid="ignore"):
             train_both(m, samples, lr, error_feedback)
+
+    @no_deadline
+    @given(st.data(), st.booleans())
+    def test_learning_rate_zero_leaves_every_code(self, data, error_feedback):
+        # bias codes up to BIAS_CODE_MAX, float32 in code units, come back
+        # exactly; so do the residuals, which stay zero
+        m = data.draw(qmodels())
+        x, t = data.draw(samples_for(m))
+        before = [(l.weights_q.codes.tolist(), l.biases_q.tolist()) for l in m.layers]
+        fb = FeedbackState.for_model(m) if error_feedback else None
+        backward_hybrid(forward_int8(m, QTensor(x, m.layers[0].in_params)), t, m, 0.0, fb)
+        assert [(l.weights_q.codes.tolist(), l.biases_q.tolist()) for l in m.layers] == before
+        if fb is not None:
+            assert not any(r.any() for r in fb.weights + fb.biases)
 
     @staticmethod
     def tiny_update_model():
@@ -444,11 +498,20 @@ class TestBackwardHybridInCodeUnits:
 
     def test_subnormal_bias_update_changes_the_residual_bits(self):
         # The domain backward_hybrid's docstring names: lr * delta = 1.7e-39
-        # is subnormal in real units, 2**14 times larger in code units, and
-        # the two round it differently. The codes agree; the residual's low
-        # bits do not.
+        # is subnormal in real units, 2**14 times larger in code units. The
+        # code-unit residual keeps the low bits that the oracle's real-unit
+        # residual rounds away; the codes agree.
         m = self.tiny_update_model()
-        sample = (np.array([1, 3], dtype=np.int8), np.array([1.7e-35], dtype=np.float32))
-        fb_got, fb_want = train_both(m, [sample], 1e-4, True)
-        assert fb_got.biases[0].tolist() != fb_want.biases[0].tolist()
-        assert fb_got.weights[0].tolist() == fb_want.weights[0].tolist()
+        t = np.array([1.7e-35], dtype=np.float32)
+        fb_got, fb_want = train_both(m, [(np.array([1, 3], dtype=np.int8), t)], 1e-4, True)
+        # delta = -t, so each residual is its whole update, scaled by
+        # float32(lr) * 2**-e: t * that for the bias, t * a * that for the
+        # weights, with a = 2**-7 and 3 * 2**-7
+        lr = float(np.float32(1e-4))
+        update = t * np.float32(lr * 2.0**14)
+        assert fb_got.biases[0].tolist() == update.tolist()
+        a = np.array([2.0**-7, 3 * 2.0**-7], dtype=np.float32)
+        assert fb_got.weights[0].tolist() == [((t * a) * np.float32(lr * 2.0**7)).tolist()]
+        real = float(update[0]) * 2.0**-14
+        assert real < 2.0**-126
+        assert float(fb_want.biases[0][0]) != real

@@ -82,14 +82,14 @@ class TestBelowHalfRoundsToZero:
         )
         fb = FeedbackState.for_model(Model([layer])) if feedback else None
         w = np.array([[BELOW_HALF_32, -BELOW_HALF_32, 0.5]], dtype=np.float32)
-        _requantize_params(w, np.zeros(1, dtype=np.float32), layer, fb, 0)
+        _requantize_params(w, np.array([-BELOW_HALF_32], dtype=np.float32), layer, fb, 0)
         assert layer.weights_q.codes.tolist() == [[0, 0, 1]]
+        assert layer.biases_q.tolist() == [0]
         if feedback:
-            # the residual keeps the whole update, in real units
-            step = np.float32(2.0**-7)
-            assert fb.weights[0].tolist() == [
-                [BELOW_HALF_32 * step, -BELOW_HALF_32 * step, -0.5 * step],
-            ]
+            # the residuals keep the whole update, in code units
+            assert fb.weights[0].dtype == fb.biases[0].dtype == np.float32
+            assert fb.weights[0].tolist() == [[BELOW_HALF_32, -BELOW_HALF_32, -0.5]]
+            assert fb.biases[0].tolist() == [-BELOW_HALF_32]
 
 
 class TestBoundaries:
