@@ -212,10 +212,12 @@ def cmd_eval(args):
 
 
 def cmd_report_memory(args):
-    # the byte counts depend only on the layer shapes, not the weights
-    full = build_model(args.arch, 0) if args.arch else load_model(args.model)
-    if full.representation != FULL:
+    m = build_model(args.arch, 0) if args.arch else load_model(args.model)
+    if m.representation != FULL:
         raise ConfigurationError("report-memory expects a full-precision model file or --arch")
+    # the byte counts depend only on the layer shapes, and a file's own
+    # weights may not quantize, so the model is rebuilt from its shapes
+    full = build_model((m.input_dim, [(l.out_dim, l.activation) for l in m.layers]), 0)
     rep = memory_report(full, quantize_model(full))
     print(f"full-precision parameters: {rep.full_bytes} B")
     print(

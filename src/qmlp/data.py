@@ -240,24 +240,18 @@ def generate_car_surrogate(path):
     imbalance (roughly 70/22/5/3% over unacc/acc/good/vgood). Deterministic;
     loads through load_car_evaluation. Returns the path.
     """
-    enum_orders = [
-        ("vhigh", "high", "med", "low"),
-        ("vhigh", "high", "med", "low"),
-        ("2", "3", "4", "5more"),
-        ("2", "4", "more"),
-        ("small", "med", "big"),
-        ("low", "med", "high"),
-    ]
-    ordinal = [
-        {tok: order.index(tok) for tok in order} for _, order in CAR_ATTRIBUTES
+    # rows run over the ordinals, buying and maint from high to low
+    ordinals = [
+        range(len(order))[::-1 if name in ("buying", "maint") else 1]
+        for name, order in CAR_ATTRIBUTES
     ]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        for tokens in product(*enum_orders):
-            ords = [ordinal[i][tok] for i, tok in enumerate(tokens)]
-            writer.writerow(list(tokens) + [_car_surrogate_label(*ords)])
+        for ords in product(*ordinals):
+            tokens = [order[o] for (_, order), o in zip(CAR_ATTRIBUTES, ords)]
+            writer.writerow(tokens + [_car_surrogate_label(*ords)])
     return path
 
 

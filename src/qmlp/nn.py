@@ -387,14 +387,17 @@ def quantize_model(m, calibration=None):
 
     qlayers = []
     in_params = QuantParams(input_exp)
-    for layer, preact_exp in zip(m.layers, preact_exps):
+    for i, (layer, preact_exp) in enumerate(zip(m.layers, preact_exps)):
         w_params = choose_exponent(layer.weights)
         w_q = quantize(layer.weights, w_params)
         bias_step = 2.0 ** (in_params.exponent + w_params.exponent)
         b_q = _round_half_away(layer.biases.astype(np.float64) / bias_step)
         act_params = QuantParams(DEFAULT_ACTIVATION_EXPONENT)
         lut = build_lut(layer.activation, QuantParams(preact_exp), act_params)
-        qlayers.append(QDenseLayer(weights_q=w_q, biases_q=b_q, in_params=in_params, lut=lut))
+        try:
+            qlayers.append(QDenseLayer(weights_q=w_q, biases_q=b_q, in_params=in_params, lut=lut))
+        except InvariantError as e:  # a bias or scale no QDenseLayer holds
+            raise DataError(f"layer {i}: {e}") from None
         in_params = act_params
     return Model(qlayers)
 

@@ -48,15 +48,10 @@ _POW2 = {
     for dt in (_F32, _F64)
 }
 
-# _requantize_lut clamps 2z to [-256, 255], the range of the fused table's
-# index before its offset of 256.
 _FUSED_LO, _FUSED_HI = _const(-256, np.float64), _const(255, np.float64)
 _FUSED_OFFSET = _const(256, np.int16)
-# The code that fused-table entry k + 256 reads from the LUT,
-# clamp(round_half_away(k / 2)); the same for every LUT.
-_FUSED_CODES = _round_half_away(
-    np.arange(-256, 256, dtype=np.float64) / 2, *_CODE_BOUNDS[_F64], np.int8
-)
+# the identity LUT's fused table, the codes requantize_shift returns (see _fused_index)
+_FUSED_CODES = _round_half_away(np.arange(-256, 256) / 2, *_CODE_BOUNDS[_F64], np.int8)
 _FUSED_CODES.setflags(write=False)
 # flips the top bit of an int8 code's uint8 view, see _lut_gather
 _TOP_BIT = _const(128, np.uint8)
@@ -135,10 +130,10 @@ class ActivationLUT:
     must be whole numbers in [-128, 127], as for ``QTensor``.
 
     ``fused`` is derived from ``table`` when the LUT is built: 512 int8
-    entries, fused[k + 256] = table[clamp(round_half_away(k / 2)) + 128] for
-    k in [-256, 255], which ``_requantize_lut`` reads to requantize and look
-    up in one gather. It lives in host memory only; the model file and the
-    memory report do not count it.
+    entries, fused[k] = table[_FUSED_CODES[k] + 128], which
+    ``_requantize_lut`` reads to requantize and look up in one gather. It
+    lives in host memory only; the model file and the memory report do not
+    count it.
     """
 
     table: np.ndarray
@@ -200,33 +195,12 @@ def dequantize(t):
     return _code_values(t.codes, t.params)
 
 
-def requantize_shift(acc, shift):
-    """Rescale a 32-bit accumulator to an 8-bit code by a power-of-two shift.
-
-    Returns clamp(round_half_away(acc * 2**shift), -128, 127). z =
-    acc * 2**shift is exact in float64 for every integer |acc| < 2**31 and
-    every shift in [-31, 31], and ``_round_half_away`` is exact for every
-    finite z. ``acc`` may be an int, an integer array, or a float64 array
-    of integers.
-    """
-    shift = int(shift)
-    if not -SHIFT_MAX <= shift <= SHIFT_MAX:
-        raise InvariantError(f"requantize shift {shift} outside [-{SHIFT_MAX}, {SHIFT_MAX}]")
-    z = np.multiply(acc, _POW2[_F64][shift], dtype=np.float64)
-    codes = _round_half_away(z, *_CODE_BOUNDS[_F64], np.int8)
-    if codes.ndim == 0:
-        return int(codes)
-    return codes
-
-
-def _requantize_lut(acc, shift, lut):
-    """lut.table[requantize_shift(acc, shift) + 128], in one gather.
-
-    ``acc`` is a float64 array of integer accumulators, |acc| < 2**31,
-    that the caller owns: every step works in place on it. The shift is
-    not checked; ``QDenseLayer`` proves it lies in [-31, 31] when built.
-
-    With z = acc * 2**shift and y = 2z, both exact in float64:
+def _fused_index(acc, shift, out=None):
+    """k = trunc(clip(acc * 2**(shift + 1), -256, 255)) + 256 as int16, for
+    integer accumulators |acc| < 2**31: the requantize index of rows and
+    batches. ``_FUSED_CODES[k]`` is clamp(round_half_away(z), -128, 127),
+    with z = acc * 2**shift and y = 2z exact in float64 for every shift in
+    [-31, 31] (not checked here):
 
     - round_half_away(z) = round_half_away(trunc(y) / 2), because the
       rounded magnitude floor(|z| + 1/2) = floor((|y| + 1) / 2) depends on
@@ -236,14 +210,40 @@ def _requantize_lut(acc, shift, lut):
       already round to -128 and 128, at or past the code bounds, so every
       y beyond either bound clamps to the same code as the bound itself.
 
-    So the result is lut.fused[trunc(clip(y, -256, 255)) + 256]; the int16
-    cast truncates, and the offset keeps the gather's indices non-negative.
+    The int16 cast truncates; the offset keeps the indices non-negative.
+    ``out`` (float64, acc's shape; acc itself, say) takes every step in
+    place. Without it every step is fresh: numpy pays about 0.3 us when a
+    one-element output aliases its input.
     """
-    y = np.multiply(acc, _POW2[_F64][shift + 1], out=acc)
-    y.clip(_FUSED_LO, _FUSED_HI, out=y)
-    k = y.astype(np.int16)
+    y = np.multiply(acc, _POW2[_F64][shift + 1], out=out)
+    k = y.clip(_FUSED_LO, _FUSED_HI, out=out).astype(np.int16)
+    if out is None:
+        return k + _FUSED_OFFSET
     k += _FUSED_OFFSET
-    return lut.fused.take(k)
+    return k
+
+
+def requantize_shift(acc, shift):
+    """Rescale a 32-bit accumulator to an 8-bit code by a power-of-two shift.
+
+    Returns clamp(round_half_away(acc * 2**shift), -128, 127) from the
+    identity LUT's fused table (see ``_fused_index``), without writing acc:
+    an int for an int, a fresh int8 array for an integer or float64 array.
+    """
+    shift = int(shift)
+    if not -SHIFT_MAX <= shift <= SHIFT_MAX:
+        raise InvariantError(f"requantize shift {shift} outside [-{SHIFT_MAX}, {SHIFT_MAX}]")
+    codes = _FUSED_CODES.take(_fused_index(acc, shift))
+    return int(codes) if codes.ndim == 0 else codes
+
+
+def _requantize_lut(acc, shift, lut):
+    """lut.table[requantize_shift(acc, shift) + 128], as one gather of
+    ``lut.fused`` at ``_fused_index``'s k, in place on ``acc``: a float64
+    array the caller owns. The shift is not checked; ``QDenseLayer``
+    proves it lies in [-31, 31] when built.
+    """
+    return lut.fused.take(_fused_index(acc, shift, acc))
 
 
 def build_lut(activation, in_params, out_params):

@@ -180,6 +180,13 @@ class TestReportMemoryBenchCurves:
         assert code == 0
         assert "3.36x" in out
 
+    def test_report_memory_counts_a_file_by_its_shapes(self, bad_inputs, capsys):
+        # a valid full model whose bias no int8 layer holds: its weights
+        # are never quantized, so it reports as its architecture does
+        got = run(["report-memory", str(bad_inputs["big_bias"])], capsys)
+        assert got[0] == 0
+        assert got == run(["report-memory", "--arch", "car_evaluation"], capsys)
+
     def test_curves_reemit_and_sparkline(self, trained, capsys):
         _, curves = trained
         code, out, _ = run(["curves", str(curves), "--sparkline"], capsys)
@@ -258,6 +265,7 @@ def bad_inputs(tmp_path_factory):
         "calnan": d / "calnan.csv",
         "model": d / "model.bin",
         "qmodel": d / "q.bin",
+        "big_bias": d / "big_bias.bin",
         "out": d / "out.bin",
         "nodir_out": d / "no" / "such" / "dir" / "out.bin",
     }
@@ -272,6 +280,9 @@ def bad_inputs(tmp_path_factory):
     paths["calnan"].write_text("0.1,0.2,0.3,0.4,0.5,0.6\n0.1,0.2,0.3,0.4,0.5,nan\n")
     save_model(build_model("car_evaluation", 7), paths["model"])
     save_model(quantize_model(build_model("car_evaluation", 7)), paths["qmodel"])
+    big_bias = build_model("car_evaluation", 7)
+    big_bias.layers[0].biases[0] = 1e6  # a bias code far past 2**24
+    save_model(big_bias, paths["big_bias"])
     return paths
 
 
@@ -343,6 +354,8 @@ BAD_INPUTS = [
     pytest.param(["report-memory", "{qmodel}"], 2, "config",
                  "report-memory expects a full-precision model file or --arch",
                  id="report-memory-quantized-model"),
+    pytest.param(["quantize", "{big_bias}", "--out", "{out}"], 3, "data",
+                 "layer 0: bias code outside", id="quantize-unrepresentable-bias"),
     pytest.param(["eval", "{model}", "--on", "all", "--dataset", "synth-cogdist"], 2, "config",
                  "--on all needs a dataset with fixed normalization", id="eval-on-all-cogdist"),
     pytest.param(["eval", "{model}", "--dataset", "{car}"], 2, "config",

@@ -308,7 +308,7 @@ class TestBiasCodeBound:
     def test_quantize_model_refuses_unrepresentable_bias(self):
         m = build_model((2, [(1, "sigmoid")]), 0)
         m.layers[0].biases[:] = 2.0**20  # 2**34 codes at the default 2**-14 step
-        with pytest.raises(InvariantError):
+        with pytest.raises(DataError, match="layer 0"):
             quantize_model(m)
 
 

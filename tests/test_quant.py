@@ -18,6 +18,7 @@ from qmlp.quant import (
     quantize,
     requantize_shift,
 )
+from test_properties import exact_requantize
 
 
 def round_half_away(x):
@@ -208,9 +209,10 @@ def fused_cell_ends(shift):
     return ends
 
 
-def lut_of_requantize(acc, shift, lut=SCRAMBLED_LUT):
-    codes = requantize_shift(np.asarray(acc, dtype=np.int64), shift)
-    return lut.table[np.asarray(codes, dtype=np.int16) + 128]
+def exact_lut(acc, shift, lut=SCRAMBLED_LUT):
+    """lut.table at the rationally requantized code of every accumulator."""
+    codes = [exact_requantize(a, shift) for a in np.ravel(acc).tolist()]
+    return lut.table[np.add(codes, 128)].reshape(np.shape(acc))
 
 
 class TestRequantizeLut:
@@ -221,7 +223,7 @@ class TestRequantizeLut:
         accs = np.array([a for a in accs if abs(a) <= ACC_MAX], dtype=np.int64)
         assert {-ACC_MAX, ACC_MAX} <= set(accs.tolist())
         got = _requantize_lut(accs.astype(np.float64), shift, SCRAMBLED_LUT)
-        np.testing.assert_array_equal(got, lut_of_requantize(accs, shift))
+        np.testing.assert_array_equal(got, exact_lut(accs, shift))
 
     @pytest.mark.parametrize("shift", range(-31, 0))
     def test_tie_points(self, shift):
@@ -231,7 +233,7 @@ class TestRequantizeLut:
         accs = [(2 * j + 1) * half for j in range(-130, 130)]
         accs = np.array([a for a in accs if abs(a) <= ACC_MAX], dtype=np.int64)
         got = _requantize_lut(accs.astype(np.float64), shift, SCRAMBLED_LUT)
-        np.testing.assert_array_equal(got, lut_of_requantize(accs, shift))
+        np.testing.assert_array_equal(got, exact_lut(accs, shift))
 
     @pytest.mark.parametrize("shape", [(), (1, 7), (5, 7)])
     @pytest.mark.parametrize("shift", [-31, -9, 0, 31])
@@ -243,7 +245,7 @@ class TestRequantizeLut:
         accs = accs.reshape(shape)
         got = _requantize_lut(accs.astype(np.float64), shift, SCRAMBLED_LUT)
         assert np.shape(got) == shape
-        np.testing.assert_array_equal(got, lut_of_requantize(accs, shift))
+        np.testing.assert_array_equal(got, exact_lut(accs, shift))
 
     def test_fused_table_is_read_only_and_512_bytes(self):
         fused = build_lut("tanh", QuantParams(-4), QuantParams(-7)).fused
