@@ -212,12 +212,14 @@ def cmd_eval(args):
 
 
 def cmd_report_memory(args):
-    m = build_model(args.arch, 0) if args.arch else load_model(args.model)
-    if m.representation != FULL:
-        raise ConfigurationError("report-memory expects a full-precision model file or --arch")
-    # the byte counts depend only on the layer shapes, and a file's own
-    # weights may not quantize, so the model is rebuilt from its shapes
-    full = build_model((m.input_dim, [(l.out_dim, l.activation) for l in m.layers]), 0)
+    # the byte counts depend only on the layer shapes and activations, which
+    # a file of either representation holds; a file's own weights may not
+    # quantize, so the model is rebuilt from them
+    arch = args.arch
+    if not arch:
+        m = load_model(args.model)
+        arch = (m.input_dim, [(l.out_dim, l.activation) for l in m.layers])
+    full = build_model(arch, 0)
     rep = memory_report(full, quantize_model(full))
     print(f"full-precision parameters: {rep.full_bytes} B")
     print(
@@ -299,7 +301,7 @@ def build_parser():
 
     p = sub.add_parser("report-memory", help="parameter-storage comparison")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("model", nargs="?", help="full-precision model file")
+    source.add_argument("model", nargs="?", help="model file, full-precision or quantized")
     source.add_argument("--arch", choices=sorted(ARCHITECTURES))
     p.set_defaults(func=cmd_report_memory)
 

@@ -154,22 +154,26 @@ def read_numeric_csv(path, n_cols):
     """Read a CSV of finite numbers, n_cols per row, as a float64 array.
 
     A row with another column count raises FormatError; a cell that is not
-    a finite number raises DataError naming its row and column.
+    a number, or whose value is not finite once cast to the float32 that
+    datasets and calibration sets hold, raises DataError naming its row and
+    column.
     """
     rows = _read_rows(path, n_cols)
     values = np.empty((len(rows), n_cols), dtype=np.float64)
     for r, row in enumerate(rows):
         for c, cell in enumerate(row):
             try:
-                value = float(cell)
+                values[r, c] = float(cell)
             except ValueError:
-                value = math.nan  # reported as not a finite number, below
-            if not math.isfinite(value):
-                raise DataError(
-                    f"{path}: row {r + 1}, column {c + 1}: "
-                    f"{cell.strip()!r} is not a finite number"
-                )
-            values[r, c] = value
+                values[r, c] = math.nan  # reported as not a finite number, below
+    with np.errstate(over="ignore"):  # the cast makes inf of a cell too large
+        bad = np.argwhere(~np.isfinite(values.astype(np.float32)))
+    if bad.size:
+        r, c = bad[0]
+        raise DataError(
+            f"{path}: row {r + 1}, column {c + 1}: "
+            f"{rows[r][c].strip()!r} is not a finite number in float32"
+        )
     return values
 
 

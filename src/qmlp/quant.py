@@ -104,10 +104,6 @@ class QTensor:
     def __post_init__(self):
         object.__setattr__(self, "codes", _int8_codes(self.codes))
 
-    @property
-    def shape(self):
-        return self.codes.shape
-
 
 def _from_codes(codes, params):
     """Wrap int8 codes the library has just computed as a read-only QTensor.

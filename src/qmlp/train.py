@@ -30,13 +30,17 @@ from .nn import (
     predict_full,
     predict_int8,
 )
-from .quant import _CODE_BOUNDS, _POW2, _from_codes, dequantize, quantize
+from .quant import EXPONENT_MIN, _CODE_BOUNDS, _POW2, _from_codes, dequantize, quantize
 
 DEFAULT_FLOAT_LR = 0.01
 # Fine-tuning default. Even at 0.05 most updates do not clear the weight
 # quantization step: on synth-car after 100 float epochs and PTQ, 99.7% of
 # non-zero weight updates left the code unchanged.
 DEFAULT_FINETUNE_LR = 0.05
+# The largest learning rate: the hybrid trainer scales updates by lr * 2**-e
+# in float32, and a bias exponent (input + weight) is at least
+# 2 * EXPONENT_MIN, so every such scale is finite up to this rate.
+LR_MAX = float(np.finfo(np.float32).max) * 2.0 ** (2 * EXPONENT_MIN)
 
 # The bias code clamp's bounds, in the float32 that bias codes round from
 _BIAS_BOUNDS = (_const(-BIAS_CODE_MAX, _F32), _const(BIAS_CODE_MAX, _F32))
@@ -66,10 +70,11 @@ class TrainConfig:
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
         # learning_rate 0 is allowed (a no-op run used by tests); negative,
-        # infinite and NaN are not (NaN fails every comparison)
-        if not 0 <= self.learning_rate < np.inf:
+        # infinite, NaN (which fails every comparison) and above LR_MAX are not
+        if not 0 <= self.learning_rate <= LR_MAX:
             raise ConfigurationError(
-                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
+                f"learning_rate must be finite, >= 0 and <= LR_MAX = {LR_MAX:.6g}, "
+                f"got {self.learning_rate}"
             )
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
@@ -103,7 +108,8 @@ def backward_lsgd(trace, target, m, lr):
     pre-update weights. Updates: w_ji -= lr * delta_j * a_i,
     b_j -= lr * delta_j, each layer's after it gives the delta below. Returns
     the number of deltas computed (one per neuron; the counter backs the
-    node-delta property test).
+    node-delta property test). ``lr`` must lie in [0, LR_MAX], which
+    TrainConfig checks once; this hot path does not check it again.
     """
     t = np.asarray(target, dtype=np.float32)
     lr = np.array(lr, dtype=np.float32)
@@ -258,7 +264,9 @@ def backward_hybrid(qtrace, target, m, lr, feedback=None):
 
     At most one layer's parameters and two activation vectors exist in
     float at any moment; the returned stats carry the measured high-water
-    mark.
+    mark. ``lr`` must lie in [0, LR_MAX], where every scale lr * 2**-e is
+    finite in float32; TrainConfig checks it once, and this hot path does
+    not check it again.
     """
     t = np.asarray(target, dtype=np.float32)
     # float32(lr) as a Python float: times 2**-e it is exact in float64, so

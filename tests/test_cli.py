@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import struct
 import subprocess
@@ -187,6 +188,12 @@ class TestReportMemoryBenchCurves:
         assert got[0] == 0
         assert got == run(["report-memory", "--arch", "car_evaluation"], capsys)
 
+    def test_report_memory_takes_a_quantized_file(self, bad_inputs, capsys):
+        # a quantized file holds the same shapes and activations
+        got = run(["report-memory", str(bad_inputs["qmodel"])], capsys)
+        assert got[0] == 0
+        assert got == run(["report-memory", "--arch", "car_evaluation"], capsys)
+
     def test_curves_reemit_and_sparkline(self, trained, capsys):
         _, curves = trained
         code, out, _ = run(["curves", str(curves), "--sparkline"], capsys)
@@ -263,6 +270,8 @@ def bad_inputs(tmp_path_factory):
         "curves": d / "curves.csv",
         "cal3": d / "cal3.csv",
         "calnan": d / "calnan.csv",
+        "calbig": d / "calbig.csv",
+        "big_cell": d / "big_cell.csv",
         "model": d / "model.bin",
         "qmodel": d / "q.bin",
         "big_bias": d / "big_bias.bin",
@@ -278,6 +287,11 @@ def bad_inputs(tmp_path_factory):
     paths["curves"].write_text("epoch,train_acc,val_acc,train_loss\n0,0.5,0.5,0.1\n")
     paths["cal3"].write_text("0.1,0.2,0.3\n")
     paths["calnan"].write_text("0.1,0.2,0.3,0.4,0.5,0.6\n0.1,0.2,0.3,0.4,0.5,nan\n")
+    # finite in float64, inf in the float32 that datasets hold
+    paths["calbig"].write_text("0.1,0.2,0.3,1e300,0.5,0.6\n")
+    rows = [f"{r},{r % 3},{r % 5},{r % 7},{r % 2},{r % 4},{r % 2}" for r in range(20)]
+    rows[2] = "2,1e300,2,2,0,2,0"
+    paths["big_cell"].write_text("\n".join(rows) + "\n")
     save_model(build_model("car_evaluation", 7), paths["model"])
     save_model(quantize_model(build_model("car_evaluation", 7)), paths["qmodel"])
     big_bias = build_model("car_evaluation", 7)
@@ -313,12 +327,26 @@ BAD_INPUTS = [
     pytest.param(["quantize", "{model}", "--calibration", "{calnan}", "--out", "{out}"], 3,
                  "data", "{calnan}: row 2, column 6: 'nan' is not a finite number",
                  id="quantize-calibration-nan-cell"),
+    pytest.param(["quantize", "{model}", "--calibration", "{calbig}", "--out", "{out}"], 3,
+                 "data", "{calbig}: row 1, column 4: '1e300' is not a finite number",
+                 id="quantize-calibration-cell-beyond-float32"),
+    pytest.param(["train", "--arch", "cogdist", "--dataset", "{big_cell}", "--epochs", "1",
+                  "--out", "{out}"], 3, "data",
+                 "{big_cell}: row 3, column 2: '1e300' is not a finite number",
+                 id="train-dataset-cell-beyond-float32"),
     pytest.param(["train", "--arch", "car_evaluation", "--dataset", "{car}", "--lr", "nan",
                   "--out", "{out}"], 2, "config", "learning_rate must be finite",
                  id="train-lr-nan"),
     pytest.param(["finetune", "{qmodel}", "--arch", "car_evaluation", "--dataset", "{car}",
                   "--lr", "inf", "--out", "{out}"], 2, "config",
                  "learning_rate must be finite", id="finetune-lr-inf"),
+    # a rate whose update scales overflow float32 (above train.LR_MAX)
+    pytest.param(["train", "--arch", "car_evaluation", "--dataset", "{car}", "--epochs", "1",
+                  "--lr", "1e39", "--out", "{out}"], 2, "config",
+                 "learning_rate must be finite", id="train-lr-above-max"),
+    pytest.param(["finetune", "{qmodel}", "--arch", "car_evaluation", "--dataset", "{car}",
+                  "--epochs", "1", "--lr", "1e37", "--out", "{out}"], 2, "config",
+                 "learning_rate must be finite", id="finetune-lr-above-max"),
     pytest.param(["train", "--arch", "car_evaluation", "--dataset", "{car}", "--seed", "-1",
                   "--out", "{out}"], 2, "usage", "seed must be an integer >= 0",
                  id="train-negative-seed"),
@@ -351,9 +379,6 @@ BAD_INPUTS = [
                  id="finetune-full-model"),
     pytest.param(["finetune", "--random-init", "--dataset", "{car}", "--out", "{out}"], 2,
                  "config", "--random-init requires --arch", id="finetune-random-init-no-arch"),
-    pytest.param(["report-memory", "{qmodel}"], 2, "config",
-                 "report-memory expects a full-precision model file or --arch",
-                 id="report-memory-quantized-model"),
     pytest.param(["quantize", "{big_bias}", "--out", "{out}"], 3, "data",
                  "layer 0: bias code outside", id="quantize-unrepresentable-bias"),
     pytest.param(["eval", "{model}", "--on", "all", "--dataset", "synth-cogdist"], 2, "config",
@@ -378,6 +403,37 @@ def test_bad_input_ends_in_one_error_line(
     assert "Traceback" not in err
     assert out == ""
     assert not bad_inputs["out"].exists()
+
+
+# Tier-1 runs under error::RuntimeWarning, which ends these rows at the first
+# overflow warning. Under the interpreter's default filters they exited 0
+# and wrote files that qmlp then refused, so they run as subprocesses too.
+_DEFAULT_FILTER_IDS = (
+    "train-lr-above-max",
+    "finetune-lr-above-max",
+    "train-dataset-cell-beyond-float32",
+    "quantize-calibration-cell-beyond-float32",
+)
+
+
+@pytest.mark.parametrize(
+    "command, code, category, needle", [p for p in BAD_INPUTS if p.id in _DEFAULT_FILTER_IDS]
+)
+def test_bad_input_under_default_warning_filters(
+    command, code, category, needle, bad_inputs, car_file, tmp_path
+):
+    names = {k: str(v) for k, v in bad_inputs.items()}
+    names.update(car=car_file, out=str(tmp_path / "out.bin"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmlp.cli", *(a.format(**names) for a in command)],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, len(proc.stderr.splitlines())) == (code, 1), proc.stderr
+    assert proc.stderr.startswith(f"error[{category}]: ")
+    assert needle.format(**names) in proc.stderr
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")

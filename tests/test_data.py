@@ -110,11 +110,16 @@ class TestLoadCsvGeneric:
         with pytest.raises(DataError, match=r"row 2, column 2"):
             load_csv_generic(p, 2)
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    # 1e300 and -3.5e38 are finite in float64, but not in the float32 of a Dataset
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e300", "-3.5e38"])
     def test_non_finite_cell_located(self, tmp_path, cell):
         p = write(tmp_path / "g.csv", f"1,2,0\n{cell},2,1\n")
         with pytest.raises(DataError, match=r"row 2, column 1: .* is not a finite number"):
             load_csv_generic(p, 2)
+
+    def test_largest_float32_cell_is_accepted(self, tmp_path):
+        p = write(tmp_path / "g.csv", "3.4028234e38,-3.4028234e38,0\n1,2,1\n")
+        assert np.float32(read_numeric_csv(p, 3)[0, 0]) == np.finfo(np.float32).max
 
     def test_binary_target_values_checked(self, tmp_path):
         p = write(tmp_path / "g.csv", "1,2,0.5\n")

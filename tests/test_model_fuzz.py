@@ -2,9 +2,12 @@
 
 Each example damages a saved car_evaluation file, float or int8, by
 replacing one byte or by truncating it. Many single-byte changes leave a
-valid file with altered parameters, so loading may succeed; any exception
-other than FormatError fails the test.
+valid file with altered parameters, so loading may succeed, and then the
+loaded model saves back to the same bytes. A refusal is a FormatError
+whose byte offset lies in the file; any other exception fails the test.
 """
+
+import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -57,6 +60,18 @@ def test_damaged_file_is_model_or_format_error(
     scratch.write_bytes(bytes(damaged))
     try:
         m = load_model(scratch)
-    except FormatError:
+    except FormatError as e:
+        assert e.offset is not None and 0 <= e.offset <= len(damaged)
         return
     assert isinstance(m, Model)
+    save_model(m, scratch)
+    assert scratch.read_bytes() == bytes(damaged)
+
+
+@pytest.mark.parametrize("representation", [0, 1])
+def test_layer_larger_than_any_record_is_truncation(scratch, representation):
+    # a 65535 x 65535 layer's block is past numpy's 2 GiB record limit
+    header = b"DCV1" + struct.pack("<HBH", 1, representation, 1)
+    scratch.write_bytes(header + struct.pack("<HHB", 65535, 65535, 0) + bytes(64))
+    with pytest.raises(FormatError, match="truncated model file while reading layer 0 weight"):
+        load_model(scratch)

@@ -142,7 +142,7 @@ class TestQuantizeDequantize:
 
     def test_shape_preserved(self):
         t = quantize(np.zeros((3, 4)), QuantParams(-7))
-        assert t.shape == (3, 4)
+        assert t.codes.shape == (3, 4)
 
 
 class TestRequantizeShift:

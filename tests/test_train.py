@@ -5,8 +5,9 @@ from qmlp.data import synth_cogdist, split
 from qmlp.errors import ConfigurationError, InvariantError
 from qmlp.model_io import load_model, save_model
 from qmlp.nn import DenseLayer, Model, build_model, clone_model, forward_full, forward_int8, quantize_model
-from qmlp.quant import quantize
+from qmlp.quant import EXPONENT_MIN, quantize
 from qmlp.train import (
+    LR_MAX,
     EpochRecord,
     FeedbackState,
     SaturationWarning,
@@ -44,11 +45,18 @@ class TestConfig:
          # rounding cast, bias codes of -2**31
          dict(epochs=1, learning_rate=float("nan")),
          dict(epochs=1, learning_rate=float("inf")),
-         dict(epochs=1, learning_rate=float("-inf")), dict(epochs=1, seed=-1)],
+         dict(epochs=1, learning_rate=float("-inf")), dict(epochs=1, seed=-1),
+         # finite, but the smallest bias exponent's update scale overflows float32
+         dict(epochs=1, learning_rate=float(np.nextafter(LR_MAX, np.inf)))],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
             TrainConfig(**kwargs)
+
+    def test_largest_learning_rate_is_accepted(self):
+        scale = np.float32(LR_MAX) * np.float32(2.0 ** (-2 * EXPONENT_MIN))
+        assert np.isfinite(scale)
+        assert TrainConfig(epochs=1, learning_rate=LR_MAX).learning_rate == LR_MAX
 
 
 class TestPredictLabels:
