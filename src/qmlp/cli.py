@@ -59,7 +59,7 @@ def _seed(text):
     return seed
 
 
-def _add_common(p, *, shuffle=True):
+def _add_common(p):
     p.add_argument(
         "--dataset",
         help="'car' (canonical CSV at $QMLP_CAR_CSV or data/car.csv), "
@@ -70,12 +70,20 @@ def _add_common(p, *, shuffle=True):
     p.add_argument("--arch", choices=sorted(ARCHITECTURES))
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--split", type=float, default=0.8, help="train fraction (default 0.8)")
-    if shuffle:
-        p.add_argument(
-            "--shuffle", action="store_true",
-            help="visit training samples in a fresh seeded order each epoch "
-            "(default: stored order)",
-        )
+
+
+def _add_run(p, epochs, lr, out):
+    """The flags of a training run: the dataset, the schedule and the outputs."""
+    _add_common(p)
+    p.add_argument(
+        "--shuffle", action="store_true",
+        help="visit training samples in a fresh seeded order each epoch "
+        "(default: stored order)",
+    )
+    p.add_argument("--epochs", type=int, default=epochs)
+    p.add_argument("--lr", type=float, default=lr, help="default %(default)s")
+    p.add_argument("--out", default=out, help="model file path (default %(default)s)")
+    p.add_argument("--curves", help="curve CSV path (default <out>.curves.csv)")
 
 
 def _resolve_dataset(args):
@@ -111,11 +119,22 @@ def _splits(args):
     return data_mod.split(ds, args.split, args.seed)
 
 
-def _finish_run(m, records, args, default_out, what):
-    """Save a trained model and its curves, then print the run summary."""
-    out = Path(args.out or default_out)
+def _run(args, m, trainer, what, **options):
+    """Train m with trainer, save it and its curves, and print the summary.
+
+    The flags and both output paths are checked before the dataset is read,
+    so a bad one ends the run with nothing trained or written.
+    """
+    cfg = TrainConfig(
+        epochs=args.epochs, learning_rate=args.lr, shuffle=args.shuffle, seed=args.seed,
+        **options,
+    )
+    out = Path(args.out)
+    curves = Path(args.curves or f"{out}.curves.csv")
+    if curves.resolve() == out.resolve():
+        raise ConfigurationError(f"--curves {curves} names the --out model file {out}")
+    records = trainer(m, _splits(args), cfg)
     save_model(m, out)
-    curves = Path(args.curves) if args.curves else out.with_suffix(out.suffix + ".curves.csv")
     write_curves_csv(records, curves)
     print(f"{what} written to {out}; curves written to {curves}")
     last = records[-1]
@@ -129,16 +148,8 @@ def _finish_run(m, records, args, default_out, what):
 def cmd_train(args):
     if not args.arch:
         raise ConfigurationError("train requires --arch")
-    splits = _splits(args)
     m = build_model(args.arch, args.seed)
-    cfg = TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        shuffle=args.shuffle,
-        seed=args.seed,
-        activation_math=args.activation_math,
-    )
-    return _finish_run(m, train_full(m, splits, cfg), args, "model.bin", "model")
+    return _run(args, m, train_full, "model", activation_math=args.activation_math)
 
 
 def cmd_quantize(args):
@@ -164,16 +175,8 @@ def cmd_finetune(args):
         m = load_model(args.model)
         if m.representation != QUANTIZED:
             raise ConfigurationError("finetune expects a quantized model file")
-    splits = _splits(args)
-    cfg = TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        shuffle=args.shuffle,
-        seed=args.seed,
-        error_feedback=args.error_feedback,
-    )
-    return _finish_run(
-        m, finetune_quantized(m, splits, cfg), args, "finetuned.bin", "fine-tuned model"
+    return _run(
+        args, m, finetune_quantized, "fine-tuned model", error_feedback=args.error_feedback
     )
 
 
@@ -189,22 +192,13 @@ def cmd_eval(args):
         train_ds, val_ds = _splits(args)
         ds = train_ds if args.on == "train" else val_ds
     met = evaluate(m, ds, math_mode=args.activation_math)
+    scores = {name: getattr(met, name) for name in ("precision", "recall", "f1", "accuracy")}
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "precision": met.precision,
-                    "recall": met.recall,
-                    "f1": met.f1,
-                    "accuracy": met.accuracy,
-                    "confusion": met.confusion.tolist(),
-                }
-            )
-        )
+        print(json.dumps({**scores, "confusion": met.confusion.tolist()}))
         return 0
     print(f"samples    {int(met.confusion.sum())}  ({met.averaging} averaging)")
-    for name in ("precision", "recall", "f1", "accuracy"):
-        print(f"{name:<10} {getattr(met, name):.6f}")
+    for name, value in scores.items():
+        print(f"{name:<10} {value:.6f}")
     print("confusion (rows true, cols predicted):")
     for row in met.confusion:
         print("  " + " ".join(f"{v:6d}" for v in row))
@@ -262,12 +256,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="full-precision training run")
-    _add_common(p)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=DEFAULT_FLOAT_LR, help="default %(default)s")
+    _add_run(p, 100, DEFAULT_FLOAT_LR, "model.bin")
     p.add_argument("--activation-math", choices=MATH_MODES, default="fast")
-    p.add_argument("--out", help="model file path (default model.bin)")
-    p.add_argument("--curves", help="curve CSV path (default <out>.curves.csv)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("quantize", help="full model file -> quantized model file")
@@ -282,18 +272,14 @@ def build_parser():
     source.add_argument("--random-init", action="store_true",
                         help="fine-tune a randomly initialized quantized model "
                         "(demonstrates the saturation warning)")
-    _add_common(p)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--lr", type=float, default=DEFAULT_FINETUNE_LR, help="default %(default)s")
+    _add_run(p, 50, DEFAULT_FINETUNE_LR, "finetuned.bin")
     p.add_argument("--error-feedback", action="store_true",
                    help="keep float residuals of updates lost to requantization")
-    p.add_argument("--out", help="model file path (default finetuned.bin)")
-    p.add_argument("--curves")
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("eval", help="metrics table for a model on a dataset split")
     p.add_argument("model")
-    _add_common(p, shuffle=False)
+    _add_common(p)
     p.add_argument("--on", choices=("train", "val", "all"), default="val")
     p.add_argument("--activation-math", choices=MATH_MODES, default="reference")
     p.add_argument("--json", action="store_true")

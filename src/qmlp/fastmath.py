@@ -57,7 +57,7 @@ _BELOW_HALF = {
 }
 
 
-def _round_half_away(x, lo=None, hi=None, dtype=None, out=None):
+def _round_half_away(x, lo=None, hi=None, dtype=None):
     """Round to nearest, ties away from zero: the one rounding rule of qmlp.
 
     Computed as trunc(x + copysign(h, x)), where h is the largest float
@@ -86,14 +86,13 @@ def _round_half_away(x, lo=None, hi=None, dtype=None, out=None):
     ``lo``/``hi``, whole numbers as 0-d arrays of x's dtype (see
     ``_const``), clamp before the truncation, in one ``clip`` pass.
     ``dtype`` truncates by casting instead of by ``np.trunc``; the values
-    must fit it. ``out`` takes every step in place (it may be x itself, if
-    x is a temporary).
+    must fit it.
     """
-    r = np.add(x, np.copysign(_BELOW_HALF[x.dtype], x), out=out)
+    r = np.add(x, np.copysign(_BELOW_HALF[x.dtype], x))
     if lo is not None:
-        r = r.clip(lo, hi, out=out)
+        r = r.clip(lo, hi)
     if dtype is None:
-        return np.trunc(r, out=out)
+        return np.trunc(r)
     return r.astype(dtype)
 
 
@@ -138,13 +137,10 @@ def fast_exp(x):
     sum inside int32 (see ``_exp_bits``). fast_exp(0) == 1.0 exactly. NaN
     input gives an unspecified output.
     """
-    if np.ndim(x) == 0:
-        return fast_exp(np.reshape(x, 1))[0]
-    z = np.multiply(x, _EXP_SLOPE, dtype=np.float64)
     # The clip method, not np.clip: it skips np.clip's dispatch layers, which
     # cost more than the clamp itself on a step-sized array.
-    z = z.clip(_EXP_Z_MIN, _EXP_Z_MAX, out=z)
-    return _exp_bits(_round_half_away(z, dtype=np.int32, out=z))
+    z = np.multiply(x, _EXP_SLOPE, dtype=np.float64).clip(_EXP_Z_MIN, _EXP_Z_MAX)
+    return _exp_bits(_round_half_away(z, dtype=np.int32))
 
 
 def _fast_exp_neg(ax, k):

@@ -165,9 +165,9 @@ class Model:
 
     ``input_dim`` and ``representation`` are read from the layers when the
     model is built: all ``DenseLayer`` is 'full', all ``QDenseLayer`` is
-    'quantized', anything else raises InvariantError. Widths must chain from
-    layer to layer, and in a quantized model so must the scales: each
-    layer's input exponent is the previous layer's activation exponent.
+    'quantized', and no layers or a mix raises InvariantError. Widths must
+    chain from layer to layer, and in a quantized model so must the scales:
+    each layer's input exponent is the previous layer's activation exponent.
     """
 
     layers: list
@@ -181,7 +181,7 @@ class Model:
             self.representation = QUANTIZED
         else:
             raise InvariantError(
-                "a model must hold DenseLayer layers only or QDenseLayer layers only"
+                "a model needs one or more layers, all DenseLayer or all QDenseLayer"
             )
         self.input_dim = self.layers[0].in_dim
         for a, b in zip(self.layers, self.layers[1:]):
@@ -221,8 +221,8 @@ def build_model(spec, seed):
     biases zero; bit-identical for a given seed.
     """
     input_dim, layer_specs = _resolve_arch(spec)
-    if input_dim <= 0 or any(n <= 0 for n, _ in layer_specs):
-        raise ConfigurationError("layer dimensions must be positive")
+    if input_dim <= 0 or not layer_specs or any(n <= 0 for n, _ in layer_specs):
+        raise ConfigurationError("a model needs one or more layers, with positive dimensions")
     rng = np.random.default_rng(seed)
     layers = []
     fan_in = input_dim

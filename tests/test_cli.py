@@ -347,6 +347,18 @@ BAD_INPUTS = [
     pytest.param(["finetune", "{qmodel}", "--arch", "car_evaluation", "--dataset", "{car}",
                   "--epochs", "1", "--lr", "1e37", "--out", "{out}"], 2, "config",
                  "learning_rate must be finite", id="finetune-lr-above-max"),
+    # flags are checked before the dataset is read
+    pytest.param(["train", "--arch", "car_evaluation", "--dataset", "{missing}", "--lr", "nan",
+                  "--out", "{out}"], 2, "config", "learning_rate must be finite",
+                 id="train-lr-nan-before-missing-dataset"),
+    # a curves path that names the model file, refused before the first epoch
+    pytest.param(["train", "--arch", "car_evaluation", "--dataset", "{car}", "--epochs", "1",
+                  "--out", "{out}", "--curves", "{out}"], 2, "config",
+                 "names the --out model file {out}", id="train-curves-is-out"),
+    pytest.param(["finetune", "{qmodel}", "--arch", "car_evaluation", "--dataset", "{car}",
+                  "--epochs", "1", "--out", "{out}", "--curves", "{dir}/../out.bin"], 2,
+                 "config", "names the --out model file {out}",
+                 id="finetune-curves-is-out-spelled-differently"),
     pytest.param(["train", "--arch", "car_evaluation", "--dataset", "{car}", "--seed", "-1",
                   "--out", "{out}"], 2, "usage", "seed must be an integer >= 0",
                  id="train-negative-seed"),

@@ -172,7 +172,7 @@ class TestDerivatives:
                 assert type(g) is np.float32
                 assert g.view(np.uint32) == w.view(np.uint32)
 
-    @pytest.mark.parametrize("fn", [tanh_deriv, sigmoid_deriv, sigmoid_ref])
+    @pytest.mark.parametrize("fn", [tanh_deriv, sigmoid_deriv, sigmoid_ref, fast_exp])
     @pytest.mark.parametrize(
         "x", [0.25, np.float32(0.25), np.array(0.25), np.array(0.25, dtype=np.float32)],
         ids=["float", "np.float32", "0-d float64", "0-d float32"],

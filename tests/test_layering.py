@@ -1,5 +1,6 @@
-"""Structure checks: the module layer order, no assert statements in the
-package, the names the demos import, and the qmlp names README.md cites."""
+"""Structure checks: the module layer order, no assert statements and no
+unused imports in the package, the names the demos import, and the qmlp
+names README.md cites."""
 
 import ast
 import dataclasses
@@ -44,6 +45,24 @@ def test_package_has_no_assert_statements():
                 f"{path.name}:{node.lineno} has an assert statement; raise an "
                 f"error from qmlp.errors instead"
             )
+
+
+def test_every_imported_name_is_read():
+    # a deletion can leave its import behind, and no linter runs on the
+    # package; __init__ is skipped, as its imports are its exports
+    for path in _modules():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    assert name in read, (
+                        f"{path.name}:{node.lineno} imports {name}, which it never reads"
+                    )
 
 
 def test_demo_imports_exist():

@@ -93,6 +93,10 @@ class TestBuildModel:
         with pytest.raises(ConfigurationError):
             build_model((0, [(4, "tanh")]), 0)
 
+    def test_no_layers_is_a_bad_spec(self):
+        with pytest.raises(ConfigurationError, match="one or more layers"):
+            build_model((6, []), 0)
+
 
 class TestModel:
     def test_derives_input_dim_and_representation(self):
@@ -115,6 +119,10 @@ class TestModel:
     def test_mixed_or_missing_layers_rejected(self, layers):
         with pytest.raises(InvariantError):
             Model(layers)
+
+    def test_no_layers_named_as_the_fault(self):
+        with pytest.raises(InvariantError, match="needs one or more layers"):
+            Model([])
 
     # DenseLayer and QDenseLayer share one shape rule
     @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
