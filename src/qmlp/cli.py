@@ -13,6 +13,7 @@ line with the prefix ``error[<category>]:``.
 """
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -119,6 +120,18 @@ def _splits(args):
     return data_mod.split(ds, args.split, args.seed)
 
 
+def _check_output(value, flag):
+    """Refuse an output flag's path with an OSError (so error[io]) when no
+    file can be made there: it names a directory, or its parent is not one."""
+    path = Path(value)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, f"{flag} names a directory", str(value))
+    if not path.parent.is_dir():
+        raise FileNotFoundError(
+            errno.ENOENT, f"{flag} is not in an existing directory", str(value)
+        )
+
+
 def _run(args, m, trainer, what, **options):
     """Train m with trainer, save it and its curves, and print the summary.
 
@@ -133,6 +146,8 @@ def _run(args, m, trainer, what, **options):
     curves = Path(args.curves or f"{out}.curves.csv")
     if curves.resolve() == out.resolve():
         raise ConfigurationError(f"--curves {curves} names the --out model file {out}")
+    _check_output(args.out, "--out")
+    _check_output(curves, "--curves")
     records = trainer(m, _splits(args), cfg)
     save_model(m, out)
     write_curves_csv(records, curves)

@@ -236,10 +236,12 @@ def requantize_shift(acc, shift):
 def _requantize_lut(acc, shift, lut):
     """lut.table[requantize_shift(acc, shift) + 128], as one gather of
     ``lut.fused`` at ``_fused_index``'s k, in place on ``acc``: a float64
-    array the caller owns. The shift is not checked; ``QDenseLayer``
-    proves it lies in [-31, 31] when built.
+    array the caller owns. A one-element ``acc`` (a single row of a
+    one-neuron layer) takes the fresh steps instead, which cost less there.
+    The shift is not checked; ``QDenseLayer`` proves it lies in [-31, 31]
+    when built.
     """
-    return lut.fused.take(_fused_index(acc, shift, acc))
+    return lut.fused.take(_fused_index(acc, shift, acc if acc.size > 1 else None))
 
 
 def build_lut(activation, in_params, out_params):

@@ -44,6 +44,9 @@ LR_MAX = float(np.finfo(np.float32).max) * 2.0 ** (2 * EXPONENT_MIN)
 
 # The bias code clamp's bounds, in the float32 that bias codes round from
 _BIAS_BOUNDS = (_const(-BIAS_CODE_MAX, _F32), _const(BIAS_CODE_MAX, _F32))
+# A weight update below this many code units leaves every weight code as it
+# is (the proof is in backward_hybrid's docstring)
+_ABSORBED = 0.5 - 2.0**-8
 
 
 class SaturationWarning(UserWarning):
@@ -230,18 +233,25 @@ def _requantize_params(w, b, layer, feedback, layer_idx):
     the layer was built, up to which float32 holds every integer. The
     error-feedback residuals are in the same code units: each joins its
     update, and what rounding leaves over, x - codes, replaces it.
+
+    ``w=None`` means the weights were absorbed: ``backward_hybrid`` proved
+    that every weight code rounds back to itself, so the codes are kept and
+    only the biases are written. It never comes with error feedback.
     """
     if feedback is not None:
         w = w + feedback.weights[layer_idx]
         b = b + feedback.biases[layer_idx]
-    w_codes = _round_half_away(w, *_CODE_BOUNDS[_F32], np.int8)
     b_codes = _round_half_away(b, *_BIAS_BOUNDS, np.int32)
     if feedback is not None:
-        feedback.weights[layer_idx] = w - w_codes
         # float32 holds every bias code; int32 - float32 alone would give float64
         feedback.biases[layer_idx] = np.subtract(b, b_codes, dtype=_F32)
-    layer.weights_q = _from_codes(w_codes, layer.weights_q.params)
     layer.biases_q = b_codes
+    if w is None:
+        return
+    w_codes = _round_half_away(w, *_CODE_BOUNDS[_F32], np.int8)
+    if feedback is not None:
+        feedback.weights[layer_idx] = w - w_codes
+    layer.weights_q = _from_codes(w_codes, layer.weights_q.params)
 
 
 def backward_hybrid(qtrace, target, m, lr, feedback=None):
@@ -261,6 +271,35 @@ def backward_hybrid(qtrace, target, m, lr, feedback=None):
     would give, except where an intermediate is subnormal (below 2**-126) in
     one unit but not the other; that never moves a code. The error-feedback
     residuals are kept in code units too.
+
+    Without error feedback, a layer whose weight update is provably absorbed
+    skips the weight write-back: no outer product, subtract or rounding, and
+    ``weights_q`` is kept; layer 0 does not even cast its codes, as no delta
+    goes below it. Its biases are written as always. The test is one bound,
+    evaluated in float32 scalars, in this order:
+
+        B = max|delta| * 2**(e_in + 7) * s < 0.5 - 2**-8
+
+    with s = float32(lr * 2**-e_w) the weight update's scale and
+    2**(e_in + 7) = 128 * 2**e_in the largest |a_prev| the layer's int8
+    input codes can hold (a bound that costs no reduction over a_prev).
+
+    - The full path computes each update as fl(fl(delta_i * a_j) * s).
+      Float32 rounding is monotone and odd, so no computed update exceeds
+      B in magnitude. A NaN makes B NaN, and an overflow makes it inf (or
+      NaN when s = 0): the comparison fails and the full path runs.
+    - A weight code w is an integer with |w| <= 128, where float32 spacing
+      is at most 2**-16. So w - Delta, exactly within 0.5 - 2**-8 of w,
+      rounds to a float32 strictly inside (w - 1/2, w + 1/2), which the
+      clamp to [-128, 127] keeps there and ``_round_half_away`` returns as
+      w.
+    - The margin keeps Delta off the ties that move a code, w - 1/2 for
+      negative w and w + 1/2 for positive w. With B < 1/2 alone, w = -3 and
+      Delta = 0.5 - 2**-25 would give the float32 -3.5, which rounds to -4.
+
+    Error feedback always takes the full path, as its residual needs the
+    update. ``_requantize_params`` is called once per layer either way,
+    with ``w=None`` when the layer is absorbed.
 
     At most one layer's parameters and two activation vectors exist in
     float at any moment; the returned stats carry the measured high-water
@@ -285,16 +324,25 @@ def backward_hybrid(qtrace, target, m, lr, feedback=None):
         layer = m.layers[i]
         a_prev = dequantize(qtrace.acts[i - 1]) if i > 0 else dequantize(qtrace.x)
         w_exp = layer.weights_q.params.exponent
-        w = layer.weights_q.codes.astype(np.float32)
+        w_scale = np.array(lr * 2.0**-w_exp, dtype=np.float32)
+        # B above, in numpy scalars: a 0-d array operand costs 0.6 us more
+        absorbed = feedback is None and (
+            np.abs(delta).max() * np.float32(2.0 ** (layer.in_params.exponent + 7))
+            * w_scale[()] < _ABSORBED
+        )
+        w = None if absorbed and i == 0 else layer.weights_q.codes.astype(np.float32)
         b = layer.biases_q.astype(np.float32)
-        peak_params = max(peak_params, w.size + b.size)
+        peak_params = max(peak_params, (0 if w is None else w.size) + b.size)
         if i > 0:
             deriv_prev = activation_deriv(m.layers[i - 1].activation)(a_prev)
             delta_below = w.T.dot(delta) * _POW2[_F32][w_exp] * deriv_prev
             count += delta_below.size
         else:
             delta_below = None
-        w -= (delta[:, None] * a_prev) * np.array(lr * 2.0**-w_exp, dtype=np.float32)
+        if absorbed:
+            w = None
+        else:
+            w -= (delta[:, None] * a_prev) * w_scale
         # a fresh array, not -=, as in backward_lsgd
         b = b - delta * np.array(lr * 2.0**-layer.bias_exponent, dtype=np.float32)
         _requantize_params(w, b, layer, feedback, i)

@@ -259,7 +259,8 @@ class TestErrorPaths:
 
 @pytest.fixture(scope="module")
 def bad_inputs(tmp_path_factory):
-    """Placeholder -> path for the bad-input table below."""
+    """Placeholder -> path for the bad-input table below, except ``{out}``,
+    which each row gets fresh in its own directory."""
     d = tmp_path_factory.mktemp("bad_inputs")
     paths = {
         "missing": d / "missing.bin",
@@ -275,8 +276,8 @@ def bad_inputs(tmp_path_factory):
         "model": d / "model.bin",
         "qmodel": d / "q.bin",
         "big_bias": d / "big_bias.bin",
-        "out": d / "out.bin",
         "nodir_out": d / "no" / "such" / "dir" / "out.bin",
+        "nodir_curves": d / "no" / "such" / "dir" / "curves.csv",
     }
     paths["dir"].mkdir()
     paths["latin1"].write_bytes("1,2,3,4,5,6,caf\xe9\n".encode("latin-1"))
@@ -317,6 +318,19 @@ BAD_INPUTS = [
     pytest.param(["train", "--arch", "car_evaluation", "--dataset", "{car}", "--epochs", "1",
                   "--out", "{nodir_out}"], 3, "io", "{nodir_out}",
                  id="train-out-in-missing-directory"),
+    # output paths no file can be made at, refused before the first epoch
+    pytest.param(["train", "--arch", "car_evaluation", "--dataset", "{car}", "--epochs", "1",
+                  "--out", ""], 3, "io", "--out names a directory: ''", id="train-out-empty"),
+    pytest.param(["finetune", "{qmodel}", "--arch", "car_evaluation", "--dataset", "{car}",
+                  "--epochs", "1", "--out", "{dir}"], 3, "io",
+                 "--out names a directory: '{dir}'", id="finetune-out-is-a-directory"),
+    pytest.param(["train", "--arch", "car_evaluation", "--dataset", "{car}", "--epochs", "1",
+                  "--out", "{out}", "--curves", "{nodir_curves}"], 3, "io",
+                 "--curves is not in an existing directory: '{nodir_curves}'",
+                 id="train-curves-in-missing-directory"),
+    pytest.param(["train", "--arch", "car_evaluation", "--dataset", "{missing}",
+                  "--out", "{nodir_out}"], 3, "io", "{nodir_out}",
+                 id="train-out-in-missing-directory-before-missing-dataset"),
     pytest.param(["curves", "{header_only}", "--sparkline"], 3, "format",
                  "{header_only}: no epoch rows", id="curves-header-only"),
     pytest.param(["curves", "{nan_curves}", "--sparkline"], 3, "format",
@@ -356,7 +370,7 @@ BAD_INPUTS = [
                   "--out", "{out}", "--curves", "{out}"], 2, "config",
                  "names the --out model file {out}", id="train-curves-is-out"),
     pytest.param(["finetune", "{qmodel}", "--arch", "car_evaluation", "--dataset", "{car}",
-                  "--epochs", "1", "--out", "{out}", "--curves", "{dir}/../out.bin"], 2,
+                  "--epochs", "1", "--out", "{out}", "--curves", "{out}/../out.bin"], 2,
                  "config", "names the --out model file {out}",
                  id="finetune-curves-is-out-spelled-differently"),
     pytest.param(["train", "--arch", "car_evaluation", "--dataset", "{car}", "--seed", "-1",
@@ -404,17 +418,18 @@ BAD_INPUTS = [
 
 @pytest.mark.parametrize("command, code, category, needle", BAD_INPUTS)
 def test_bad_input_ends_in_one_error_line(
-    command, code, category, needle, bad_inputs, car_file, capsys
+    command, code, category, needle, bad_inputs, car_file, tmp_path, capsys
 ):
     names = {k: str(v) for k, v in bad_inputs.items()}
-    names["car"] = car_file
+    names.update(car=car_file, out=str(tmp_path / "out.bin"))
     got, out, err = run([a.format(**names) for a in command], capsys)
     assert (got, len(err.splitlines())) == (code, 1), err
     assert err.startswith(f"error[{category}]: ")
     assert needle.format(**names) in err
     assert "Traceback" not in err
     assert out == ""
-    assert not bad_inputs["out"].exists()
+    # neither {out} nor its curves file
+    assert list(tmp_path.iterdir()) == []
 
 
 # Tier-1 runs under error::RuntimeWarning, which ends these rows at the first

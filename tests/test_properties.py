@@ -5,11 +5,14 @@ and Python ints): requantization is round-half-away of acc * 2**shift
 followed by a clamp to [-128, 127], and the kernel is that rounding applied
 to the bias-pre-loaded integer dot product. The hybrid backward pass, which
 works in code units, is checked against an oracle that dequantizes every
-parameter and works in real units.
+parameter and works in real units, and always writes the weights back: so
+the layers whose write-back the backward pass skips must match it too.
 """
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qmlp import train
 from qmlp.fastmath import _round_half_away, activation_deriv
 from qmlp.nn import (
     BIAS_CODE_MAX,
@@ -336,6 +340,18 @@ class TestRequantizeParams:
             assert fb.biases[0].tolist() == [np.float32(float(b[0]) - sign * limit), 0.0]
             assert not fb.weights[0].any()
 
+    def test_absorbed_weights_keep_their_codes(self):
+        layer = QDenseLayer(
+            weights_q=QTensor(np.array([[-128, 3, 127]], dtype=np.int8), QuantParams(-7)),
+            biases_q=np.zeros(1, dtype=np.int32),
+            in_params=QuantParams(-7),
+            lut=build_lut("tanh", QuantParams(-4), QuantParams(-7)),
+        )
+        weights_q = layer.weights_q
+        _requantize_params(None, np.array([-2.5], dtype=np.float32), layer, None, 0)
+        assert layer.weights_q is weights_q
+        assert layer.biases_q.tolist() == [-3]
+
 
 def oracle_requantize_params(w, b, layer, feedback, layer_idx):
     """The value-unit requantize step: w and b are real parameter values."""
@@ -396,29 +412,52 @@ def assert_same_residuals(got, want, exponent):
     assert np.all(np.abs(want[differs]) < TINY_RESIDUAL), (got, want)
 
 
+@contextmanager
+def absorbed_layers():
+    """A list that gets, for each ``_requantize_params`` call made by
+    ``backward_hybrid`` inside the block, whether the layer's weights were
+    absorbed (``w=None``: codes kept without a write-back)."""
+    absorbed = []
+    requantize = train._requantize_params
+
+    def spy(w, *rest):
+        absorbed.append(w is None)
+        requantize(w, *rest)
+
+    with mock.patch.object(train, "_requantize_params", spy):
+        yield absorbed
+
+
 def train_both(m, samples, lr, error_feedback):
     """Run backward_hybrid on m and the oracle on a clone, sample by sample.
 
-    After every step the weight and bias codes must be equal, and so must
-    the error-feedback residuals' bits, read in real units, except where
-    both are tiny. Returns both feedback states.
+    The oracle always writes the weights back; backward_hybrid skips that
+    where its bound proves every code stays put. After every step the
+    weight and bias codes must be equal, and so must the error-feedback
+    residuals' bits, read in real units, except where both are tiny.
+    Returns both feedback states and ``absorbed_layers``' list.
     """
     oracle = clone_model(m)
     fb_got = FeedbackState.for_model(m) if error_feedback else None
     fb_want = FeedbackState.for_model(oracle) if error_feedback else None
     in_params = m.layers[0].in_params
-    for x, t in samples:
-        backward_hybrid(forward_int8(m, QTensor(x, in_params)), t, m, lr, fb_got)
-        oracle_backward_hybrid(forward_int8(oracle, QTensor(x, in_params)), t, oracle, lr, fb_want)
-        for got, want in zip(m.layers, oracle.layers):
-            assert got.weights_q.codes.tolist() == want.weights_q.codes.tolist()
-            assert got.biases_q.tolist() == want.biases_q.tolist()
-        if error_feedback:
-            for i, layer in enumerate(m.layers):
-                w_exp = layer.weights_q.params.exponent
-                assert_same_residuals(fb_got.weights[i], fb_want.weights[i], w_exp)
-                assert_same_residuals(fb_got.biases[i], fb_want.biases[i], layer.bias_exponent)
-    return fb_got, fb_want
+    with absorbed_layers() as absorbed:
+        for x, t in samples:
+            backward_hybrid(forward_int8(m, QTensor(x, in_params)), t, m, lr, fb_got)
+            oracle_backward_hybrid(
+                forward_int8(oracle, QTensor(x, in_params)), t, oracle, lr, fb_want
+            )
+            for got, want in zip(m.layers, oracle.layers):
+                assert got.weights_q.codes.tolist() == want.weights_q.codes.tolist()
+                assert got.biases_q.tolist() == want.biases_q.tolist()
+            if error_feedback:
+                for i, layer in enumerate(m.layers):
+                    w_exp = layer.weights_q.params.exponent
+                    assert_same_residuals(fb_got.weights[i], fb_want.weights[i], w_exp)
+                    assert_same_residuals(
+                        fb_got.biases[i], fb_want.biases[i], layer.bias_exponent
+                    )
+    return fb_got, fb_want, absorbed
 
 
 LEARNING_RATES = [0.0, 1e-4, 0.05, 1.0, 1e6]
@@ -448,13 +487,21 @@ class TestBackwardHybridInCodeUnits:
     """backward_hybrid works on parameters in code units, the oracle above in
     real units. Both must give the same codes."""
 
-    @no_deadline
-    @given(st.data(), st.sampled_from(LEARNING_RATES), st.booleans())
-    def test_matches_the_value_unit_oracle(self, data, lr, error_feedback):
-        m = data.draw(qmodels())
-        samples = data.draw(st.lists(samples_for(m), min_size=1, max_size=3))
-        with np.errstate(over="ignore", invalid="ignore"):
-            train_both(m, samples, lr, error_feedback)
+    def test_matches_the_value_unit_oracle(self):
+        taken = set()
+
+        @no_deadline
+        @given(st.data(), st.sampled_from(LEARNING_RATES), st.booleans())
+        def check(data, lr, error_feedback):
+            m = data.draw(qmodels())
+            samples = data.draw(st.lists(samples_for(m), min_size=1, max_size=3))
+            with np.errstate(over="ignore", invalid="ignore"):
+                taken.update(train_both(m, samples, lr, error_feedback)[2])
+
+        check()
+        # the draws reached both branches: absorbed layers (hypothesis tries
+        # the simplest draw first, lr = 0 without feedback) and written ones
+        assert taken == {True, False}
 
     @no_deadline
     @given(st.data(), st.booleans())
@@ -465,8 +512,11 @@ class TestBackwardHybridInCodeUnits:
         x, t = data.draw(samples_for(m))
         before = [(l.weights_q.codes.tolist(), l.biases_q.tolist()) for l in m.layers]
         fb = FeedbackState.for_model(m) if error_feedback else None
-        backward_hybrid(forward_int8(m, QTensor(x, m.layers[0].in_params)), t, m, 0.0, fb)
+        with absorbed_layers() as absorbed:
+            backward_hybrid(forward_int8(m, QTensor(x, m.layers[0].in_params)), t, m, 0.0, fb)
         assert [(l.weights_q.codes.tolist(), l.biases_q.tolist()) for l in m.layers] == before
+        # a zero rate takes the skip, unless error feedback needs the update
+        assert absorbed == [not error_feedback] * len(m.layers)
         if fb is not None:
             assert not any(r.any() for r in fb.weights + fb.biases)
 
@@ -503,7 +553,7 @@ class TestBackwardHybridInCodeUnits:
         # residual rounds away; the codes agree.
         m = self.tiny_update_model()
         t = np.array([1.7e-35], dtype=np.float32)
-        fb_got, fb_want = train_both(m, [(np.array([1, 3], dtype=np.int8), t)], 1e-4, True)
+        fb_got, fb_want, _ = train_both(m, [(np.array([1, 3], dtype=np.int8), t)], 1e-4, True)
         # delta = -t, so each residual is its whole update, scaled by
         # float32(lr) * 2**-e: t * that for the bias, t * a * that for the
         # weights, with a = 2**-7 and 3 * 2**-7
@@ -515,3 +565,103 @@ class TestBackwardHybridInCodeUnits:
         real = float(update[0]) * 2.0**-14
         assert real < 2.0**-126
         assert float(fb_want.biases[0][0]) != real
+
+
+# backward_hybrid's absorbed-weights bound, B < 0.5 - 2**-8 (see its docstring)
+THRESHOLD = np.float32(0.5 - 2.0**-8)
+BELOW_HALF = np.nextafter(np.float32(0.5), np.float32(0))  # 0.5 - 2**-25
+STRADDLE = [
+    np.nextafter(THRESHOLD, np.float32(0)), THRESHOLD, np.nextafter(THRESHOLD, np.float32(1)),
+    BELOW_HALF, np.float32(0.5), np.nextafter(np.float32(0.5), np.float32(1)),
+]
+
+
+def straddle_step(w, x, signs, p, e_in, e_w, bound):
+    """A one-layer tanh model, an input row and a target, and the rate whose
+    bound B = max|delta| * 2**(e_in + 7) * s is exactly ``bound``.
+
+    The biases cancel the dot products, so every accumulator is 0, the
+    output tanh(0) = 0 and its derivative 1: delta = -t, with
+    t = signs * 2**p. Input code -128 is a_j = -2**(e_in + 7), so the
+    weights it feeds get the update signs * bound, exactly: a positive sign
+    moves a weight towards w - 1/2, a negative one towards w + 1/2.
+    """
+    w = np.array(w, dtype=np.int8)
+    x = np.array(x, dtype=np.int8)
+    layer = QDenseLayer(
+        weights_q=QTensor(w, QuantParams(e_w)),
+        biases_q=-(w.astype(np.int32) @ x.astype(np.int32)),
+        in_params=QuantParams(e_in),
+        lut=build_lut("tanh", QuantParams(-4), QuantParams(-7)),
+    )
+    t = np.array(signs, dtype=np.float32) * np.float32(2.0**p)
+    # float32(lr) * 2**-e_w = bound * 2**-(p + e_in + 7), exact
+    return Model([layer]), x, t, float(bound) * 2.0 ** (e_w - p - e_in - 7)
+
+
+@st.composite
+def straddle_cases(draw):
+    """straddle_step arguments with the bound drawn around 0.5 - 2**-8 and 1/2."""
+    out_dim, in_dim = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    w = draw(arrays(np.int8, (out_dim, in_dim))).tolist()
+    x = [CODE_MIN] + draw(st.lists(
+        st.one_of(st.just(CODE_MIN), st.integers(CODE_MIN, CODE_MAX)),
+        min_size=in_dim - 1, max_size=in_dim - 1,
+    ))
+    signs = [draw(st.sampled_from([-1, 1]))] + draw(st.lists(
+        st.sampled_from([-1, 0, 1]), min_size=out_dim - 1, max_size=out_dim - 1
+    ))
+    near_half = st.floats(0.5 - 2.0**-7, 0.5 + 2.0**-7, width=32)
+    bound = draw(st.one_of(st.sampled_from(STRADDLE), near_half))
+    return (
+        w, x, signs, draw(st.integers(-3, 3)), draw(st.integers(-10, 0)),
+        draw(st.integers(-10, 0)), bound,
+    )
+
+
+# rows of negative codes get +bound, rows of positive codes -bound, so each
+# moves towards the tie that would change it; -128 and 127 are the rails
+TIE_CODES = [[-128, -77, -3, -1], [127, 100, 3, 0]]
+
+
+class TestAbsorbedWeightUpdates:
+    """backward_hybrid keeps the weight codes without a write-back exactly
+    when its bound holds, and the oracle's full write-back agrees."""
+
+    @no_deadline
+    @given(straddle_cases())
+    @example((TIE_CODES, [CODE_MIN] * 4, [1, -1], 0, -7, -7, 0.5)).via(
+        "exact ties: every code moves away from zero, the rails clamp"
+    )
+    @example((TIE_CODES, [CODE_MIN] * 4, [1, -1], 0, -7, -7, THRESHOLD)).via(
+        "the threshold itself is written back"
+    )
+    @example((TIE_CODES, [CODE_MIN] * 4, [1, -1], 2, -3, -9, STRADDLE[0])).via(
+        "the largest bound below the threshold keeps every code"
+    )
+    @example(([[-3]], [CODE_MIN], [1], 0, -7, -7, BELOW_HALF)).via(
+        "an update below 1/2 that moves a negative code"
+    )
+    def test_updates_straddling_the_bound(self, case):
+        *args, bound = case
+        m, x, t, lr = straddle_step(*args, bound)
+        _, _, absorbed = train_both(m, [(x, t)], lr, False)
+        assert absorbed == [bool(bound < THRESHOLD)]
+
+    def test_below_half_update_that_moves_a_negative_code_is_written(self):
+        # w = -3 and Delta = 0.5 - 2**-25: the float32 -3 - Delta is -3.5,
+        # which rounds to -4. The bound must refuse it, though Delta < 1/2.
+        assert _round_half_away(np.float32(-3) - BELOW_HALF) == -4
+        m, x, t, lr = straddle_step([[-3]], [CODE_MIN], [1], 0, -7, -7, BELOW_HALF)
+        with absorbed_layers() as absorbed:
+            backward_hybrid(forward_int8(m, QTensor(x, m.layers[0].in_params)), t, m, lr)
+        assert absorbed == [False]
+        assert m.layers[0].weights_q.codes.tolist() == [[-4]]
+
+    def test_nan_delta_takes_the_full_path(self):
+        m, x, _, _ = straddle_step([[-3, 5]], [CODE_MIN, 7], [1], 0, -7, -7, 0.25)
+        t = np.array([np.nan], dtype=np.float32)
+        # NaN updates cast to int8: numpy warns, the codes are whatever it gives
+        with absorbed_layers() as absorbed, np.errstate(invalid="ignore"):
+            backward_hybrid(forward_int8(m, QTensor(x, m.layers[0].in_params)), t, m, 0.05)
+        assert absorbed == [False]

@@ -235,7 +235,7 @@ class TestRequantizeLut:
         got = _requantize_lut(accs.astype(np.float64), shift, SCRAMBLED_LUT)
         np.testing.assert_array_equal(got, exact_lut(accs, shift))
 
-    @pytest.mark.parametrize("shape", [(), (1, 7), (5, 7)])
+    @pytest.mark.parametrize("shape", [(), (1, 7), (5, 7), (1, 1)])
     @pytest.mark.parametrize("shift", [-31, -9, 0, 31])
     def test_shapes(self, shape, shift):
         rng = np.random.default_rng(5)
@@ -246,6 +246,17 @@ class TestRequantizeLut:
         got = _requantize_lut(accs.astype(np.float64), shift, SCRAMBLED_LUT)
         assert np.shape(got) == shape
         np.testing.assert_array_equal(got, exact_lut(accs, shift))
+
+    # in place on the caller's accumulator, except on one element (a single
+    # row of a one-neuron layer), where the fresh steps cost less
+    @pytest.mark.parametrize(
+        "shape, written", [((1, 1), False), ((1, 4), True), ((1024, 1), True)]
+    )
+    def test_only_a_one_element_accumulator_is_not_written(self, shape, written):
+        acc = np.full(shape, 1000.0)
+        got = _requantize_lut(acc, -3, SCRAMBLED_LUT)
+        np.testing.assert_array_equal(got, exact_lut(np.full(shape, 1000), -3))
+        assert (acc != 1000.0).any() == written
 
     def test_fused_table_is_read_only_and_512_bytes(self):
         fused = build_lut("tanh", QuantParams(-4), QuantParams(-7)).fused

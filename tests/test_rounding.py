@@ -4,8 +4,9 @@ Round-half-away must be exact for every finite input. The form it replaced,
 ``trunc(x + copysign(0.5, x))``, rounds the largest float below 0.5 to 1
 (the add ties to even) and odd integers in [2**(p-1), 2**p) up by one, for
 p significand bits. The boundary tests below cover both regions in float32
-exhaustively; the full float32 sweep is marked ``slow`` and runs as its own
-CI step (``pytest -m slow``).
+exhaustively; the full float32 sweep, and the sweep of every weight code
+against the updates ``backward_hybrid`` treats as absorbed, are marked
+``slow`` and run as their own CI step (``pytest -m slow``).
 """
 
 import math
@@ -18,8 +19,8 @@ from hypothesis import strategies as st
 
 from qmlp.fastmath import _round_half_away, fast_round
 from qmlp.nn import Model, QDenseLayer
-from qmlp.quant import QTensor, QuantParams, build_lut, quantize
-from qmlp.train import FeedbackState, _requantize_params
+from qmlp.quant import _CODE_BOUNDS, QTensor, QuantParams, build_lut, quantize
+from qmlp.train import _ABSORBED, FeedbackState, _requantize_params
 
 BELOW_HALF_32 = np.float32(0.49999997)
 BELOW_HALF_64 = 0.49999999999999994
@@ -121,3 +122,18 @@ class TestBoundaries:
 def test_every_float32():
     for start in range(0, 1 << 31, 1 << 22):
         check_float32_bits(np.arange(start, start + (1 << 22), dtype=np.uint32))
+
+
+@pytest.mark.slow
+def test_every_absorbed_update_keeps_every_weight_code():
+    # backward_hybrid skips the weight write-back when no update reaches
+    # 0.5 - 2**-8 code units. Near that bound, for every weight code w and
+    # every float32 update Delta in [0.49, 0.5 - 2**-8), either sign, the
+    # write-back's float32 w - Delta rounds back to w: 2 * 256 * 204 472 cases
+    below = np.nextafter(np.float32(_ABSORBED), np.float32(0))
+    delta = float32_bits(0.49, below).view(np.float32)
+    delta = np.concatenate([delta, -delta])
+    bounds = _CODE_BOUNDS[np.dtype(np.float32)]
+    for w in range(-128, 128):
+        codes = _round_half_away(np.float32(w) - delta, *bounds, np.int8)
+        assert (codes == w).all(), (w, delta[codes != w][:4])
