@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DataError, InvariantError
-from .fastmath import ACTIVATION_NAMES, _round_half_away, activation_fn
+from .fastmath import _F64, ACTIVATION_NAMES, _round_half_away, activation_fn
 from .quant import (
     DEFAULT_ACTIVATION_EXPONENT,
     DEFAULT_PREACT_EXPONENT,
@@ -24,7 +24,7 @@ from .quant import (
     ActivationLUT,
     QTensor,
     QuantParams,
-    _code_values,
+    _float_codes,
     _from_codes,
     _requantize_lut,
     apply_lut,
@@ -297,9 +297,11 @@ def predict_full(m, X, math_mode="reference"):
     return A
 
 
-def _int8_kernel(codes, layer):
-    """The int8 kernel on input codes [in] or [n x in]: the multiply-
-    accumulate, as a fresh float64 array of integer accumulators.
+def _int8_kernel(a, layer):
+    """The int8 kernel on input codes held in float64, [in] or [n x in]:
+    the multiply-accumulate, as a fresh float64 array of integer
+    accumulators. The weight codes are read as their float64 copy, which
+    ``quant._float_codes`` makes once per ``weights_q``.
 
     The products are summed by float64 BLAS, which is exact here: each
     product is an integer of magnitude at most 2**14, so every partial sum
@@ -308,11 +310,14 @@ def _int8_kernel(codes, layer):
     added to that float64 sum, which stays exact because the total is an
     integer of magnitude at most BIAS_CODE_MAX + 2**14 * DIM_MAX < 2**31.
     Both callers requantize it to the pre-activation scale.
+
+    A single row, [in] or [1 x in], goes through ``dot``, whose set-up
+    costs less (0.9 us against 1.5 us for ``@`` on car's 16 x 32 layer);
+    a larger batch goes through ``@``, 6% faster on 1024 rows. Any
+    summation order gives the same bits, as above.
     """
-    w = layer.weights_q.codes.astype(np.float64).T
-    a = codes.astype(np.float64)
-    # dot for a row, @ for a batch, as in _float_layers
-    return (a.dot(w) if a.ndim == 1 else a @ w) + layer.biases_q
+    w = _float_codes(layer.weights_q, _F64).T
+    return (a.dot(w) if a.ndim == 1 or len(a) == 1 else a @ w) + layer.biases_q
 
 
 def linear_int8(x_q, layer):
@@ -330,7 +335,7 @@ def linear_int8(x_q, layer):
         )
     if x_q.codes.shape != (layer.in_dim,):
         raise InvariantError("kernel input length does not match layer in_dim")
-    acc = _int8_kernel(x_q.codes, layer)
+    acc = _int8_kernel(x_q.codes.astype(np.float64), layer)
     return _from_codes(requantize_shift(acc, layer.requantize_shift_amount), layer.preact_params)
 
 
@@ -349,17 +354,21 @@ def forward_int8(m, x_q):
 def predict_int8(m, X):
     """Batched quantized forward pass; returns dequantized outputs [n x c].
 
-    Quantizes the float inputs at the model's input scale, then runs the
-    multiply-accumulate of linear_int8 on the whole batch, followed by one
-    gather per layer that requantizes and applies the LUT together
-    (``quant._requantize_lut``); the codes equal forward_int8's row by row.
+    Quantizes the float inputs at the model's input scale and casts the
+    codes to float64 once, then runs the multiply-accumulate of
+    linear_int8 on the whole batch, followed by one gather per layer that
+    requantizes and applies the LUT together (``quant._requantize_lut``):
+    a hidden layer gathers float64 codes, the form the next kernel reads,
+    and the last layer gathers its float32 output values. The codes equal
+    forward_int8's row by row.
     """
     X = _batch(m, X, QUANTIZED, "predict_int8")
-    codes = quantize(X, m.layers[0].in_params).codes
-    for layer in m.layers:
-        acc = _int8_kernel(codes, layer)
-        codes = _requantize_lut(acc, layer.requantize_shift_amount, layer.lut)
-    return _code_values(codes, m.layers[-1].act_params)
+    a = quantize(X, m.layers[0].in_params).codes.astype(np.float64)
+    *hidden, last = m.layers
+    for layer in hidden:
+        a = _requantize_lut(_int8_kernel(a, layer), layer.requantize_shift_amount, layer.lut)
+    acc = _int8_kernel(a, last)
+    return _requantize_lut(acc, last.requantize_shift_amount, last.lut, values=True)
 
 
 def quantize_model(m, calibration=None):

@@ -6,7 +6,8 @@ all rescaling reduces to integer shifts. Codes use the full [-128, 127]
 range with saturation at both ends.
 
 QTensor and ActivationLUT are immutable after construction and safe to share
-across concurrent readers.
+across concurrent readers. A QTensor's float copies of its codes are made on
+first use (``_float_codes``); readers racing to make one make equal copies.
 """
 
 import math
@@ -49,7 +50,7 @@ _POW2 = {
 }
 
 _FUSED_LO, _FUSED_HI = _const(-256, np.float64), _const(255, np.float64)
-_FUSED_OFFSET = _const(256, np.int16)
+_FUSED_OFFSET = _const(256, np.intp)
 # the identity LUT's fused table, the codes requantize_shift returns (see _fused_index)
 _FUSED_CODES = _round_half_away(np.arange(-256, 256) / 2, *_CODE_BOUNDS[_F64], np.int8)
 _FUSED_CODES.setflags(write=False)
@@ -100,9 +101,34 @@ class QTensor:
 
     codes: np.ndarray
     params: QuantParams
+    # the float copies of codes that _float_codes makes on first use
+    _codes_f64 = None
+    _codes_f32 = None
 
     def __post_init__(self):
         object.__setattr__(self, "codes", _int8_codes(self.codes))
+
+
+_FLOAT_COPY = {_F64: "_codes_f64", _F32: "_codes_f32"}
+
+
+def _float_codes(t, dtype):
+    """``t.codes`` as a read-only array of ``dtype`` (float64 or float32),
+    the form the float kernels read: made on first use and kept on ``t``.
+
+    A QTensor never changes its codes, and every code write makes a new
+    QTensor, so the copy cannot go stale and needs no invalidation. It is
+    stored in the instance dict, as ``functools.cached_property`` stores
+    its values, which the frozen dataclass's ``__setattr__`` does not
+    guard.
+    """
+    name = _FLOAT_COPY[dtype]
+    copy = getattr(t, name)
+    if copy is None:
+        copy = t.codes.astype(dtype)
+        copy.setflags(False)  # write=False; the keyword costs 0.1 us more
+        t.__dict__[name] = copy
+    return copy
 
 
 def _from_codes(codes, params):
@@ -125,11 +151,14 @@ class ActivationLUT:
     and the name of the activation it was built from. The table's entries
     must be whole numbers in [-128, 127], as for ``QTensor``.
 
-    ``fused`` is derived from ``table`` when the LUT is built: 512 int8
-    entries, fused[k] = table[_FUSED_CODES[k] + 128], which
-    ``_requantize_lut`` reads to requantize and look up in one gather. It
-    lives in host memory only; the model file and the memory report do not
-    count it.
+    Two 512-entry tables are derived from ``table`` when the LUT is built,
+    for ``_requantize_lut`` to requantize and look up in one gather:
+    ``fused``, fused[k] = table[_FUSED_CODES[k] + 128] as exact float64
+    codes, the form the next layer's kernel reads, and ``fused_values``,
+    the same codes' output values fused[k] * 2**e_out in float32 (exact),
+    the form a batch's output takes. Both are read-only and live in host
+    memory only (4 KB + 2 KB); the model file and the memory report do
+    not count them.
     """
 
     table: np.ndarray
@@ -137,6 +166,7 @@ class ActivationLUT:
     out_params: QuantParams
     activation: str
     fused: np.ndarray = field(init=False, repr=False)
+    fused_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.activation not in ACTIVATION_NAMES:
@@ -145,9 +175,12 @@ class ActivationLUT:
         if table.shape != (256,):
             raise InvariantError(f"LUT table must have 256 entries, got {table.shape}")
         object.__setattr__(self, "table", table)
-        fused = _lut_gather(table, _FUSED_CODES)
-        fused.setflags(write=False)
-        object.__setattr__(self, "fused", fused)
+        codes = _lut_gather(table, _FUSED_CODES)
+        fused = codes.astype(np.float64)
+        values = _code_values(codes, self.out_params)
+        for name, t in (("fused", fused), ("fused_values", values)):
+            t.setflags(write=False)
+            object.__setattr__(self, name, t)
 
 
 def choose_exponent(values):
@@ -192,7 +225,7 @@ def dequantize(t):
 
 
 def _fused_index(acc, shift, out=None):
-    """k = trunc(clip(acc * 2**(shift + 1), -256, 255)) + 256 as int16, for
+    """k = trunc(clip(acc * 2**(shift + 1), -256, 255)) + 256 as intp, for
     integer accumulators |acc| < 2**31: the requantize index of rows and
     batches. ``_FUSED_CODES[k]`` is clamp(round_half_away(z), -128, 127),
     with z = acc * 2**shift and y = 2z exact in float64 for every shift in
@@ -206,13 +239,18 @@ def _fused_index(acc, shift, out=None):
       already round to -128 and 128, at or past the code bounds, so every
       y beyond either bound clamps to the same code as the bound itself.
 
-    The int16 cast truncates; the offset keeps the indices non-negative.
+    The intp cast truncates; the offset keeps the indices non-negative.
+    ``take`` reads intp indices as they are and casts any other index
+    array first: int16 indices made the gather 5.8 times as slow on 32k
+    indices (140 us against 24 us) and twice as slow on 32 (0.50 against
+    0.26 us), for an index cast that costs 5 us more on 32k.
+
     ``out`` (float64, acc's shape; acc itself, say) takes every step in
     place. Without it every step is fresh: numpy pays about 0.3 us when a
     one-element output aliases its input.
     """
     y = np.multiply(acc, _POW2[_F64][shift + 1], out=out)
-    k = y.clip(_FUSED_LO, _FUSED_HI, out=out).astype(np.int16)
+    k = y.clip(_FUSED_LO, _FUSED_HI, out=out).astype(np.intp)
     if out is None:
         return k + _FUSED_OFFSET
     k += _FUSED_OFFSET
@@ -233,15 +271,20 @@ def requantize_shift(acc, shift):
     return int(codes) if codes.ndim == 0 else codes
 
 
-def _requantize_lut(acc, shift, lut):
+def _requantize_lut(acc, shift, lut, values=False):
     """lut.table[requantize_shift(acc, shift) + 128], as one gather of
-    ``lut.fused`` at ``_fused_index``'s k, in place on ``acc``: a float64
-    array the caller owns. A one-element ``acc`` (a single row of a
-    one-neuron layer) takes the fresh steps instead, which cost less there.
-    The shift is not checked; ``QDenseLayer`` proves it lies in [-31, 31]
-    when built.
+    ``lut.fused`` at ``_fused_index``'s k: float64 codes, or with
+    ``values`` their float32 output values from ``lut.fused_values``.
+    The index is computed in place on ``acc``, a float64 array the caller
+    owns. A one-element ``acc`` (a single row of a one-neuron layer) takes
+    the fresh steps instead, which cost less there. The shift is not
+    checked; ``QDenseLayer`` proves it lies in [-31, 31] when built.
+
+    The +256 offset of the index stays: ``take`` with negative indices
+    ran 170 us against 24 us with the offset ones on 32k indices.
     """
-    return lut.fused.take(_fused_index(acc, shift, acc if acc.size > 1 else None))
+    table = lut.fused_values if values else lut.fused
+    return table.take(_fused_index(acc, shift, acc if acc.size > 1 else None))
 
 
 def build_lut(activation, in_params, out_params):

@@ -30,7 +30,15 @@ from .nn import (
     predict_full,
     predict_int8,
 )
-from .quant import EXPONENT_MIN, _CODE_BOUNDS, _POW2, _from_codes, dequantize, quantize
+from .quant import (
+    EXPONENT_MIN,
+    _CODE_BOUNDS,
+    _POW2,
+    _float_codes,
+    _from_codes,
+    dequantize,
+    quantize,
+)
 
 DEFAULT_FLOAT_LR = 0.01
 # Fine-tuning default. Even at 0.05 most updates do not clear the weight
@@ -263,9 +271,12 @@ def backward_hybrid(qtrace, target, m, lr, feedback=None):
     below), apply the update, and requantize immediately back into the
     layer's existing exponents. Exponents and LUTs are never rebuilt.
 
-    The parameters are never dequantized: they work in code units, as their
-    codes cast to float32. The delta below is ``(codes.T @ delta) * 2**e_w
-    * act'``, and the updates are scaled by ``float32(lr) * 2**-e``. A
+    The parameters are never dequantized: they work in code units, the
+    weights as the float32 copy of their codes that ``quant._float_codes``
+    keeps with ``weights_q`` (made on first use after each write) and the
+    biases as their codes cast to float32. The delta below is ``(codes.T @ delta) * 2**e_w
+    * act'``, the full path's new weights are a fresh ``codes - update``,
+    and the updates are scaled by ``float32(lr) * 2**-e``. A
     power-of-two scale commutes with float32 rounding, so ``_requantize_params``
     rounds the same values a dequantize, update and divide in real units
     would give, except where an intermediate is subnormal (below 2**-126) in
@@ -274,9 +285,9 @@ def backward_hybrid(qtrace, target, m, lr, feedback=None):
 
     Without error feedback, a layer whose weight update is provably absorbed
     skips the weight write-back: no outer product, subtract or rounding, and
-    ``weights_q`` is kept; layer 0 does not even cast its codes, as no delta
-    goes below it. Its biases are written as always. The test is one bound,
-    evaluated in float32 scalars, in this order:
+    ``weights_q`` is kept; layer 0 does not even read its codes, as no
+    delta goes below it. Its biases are written as always. The test is one
+    bound, evaluated in float32 scalars, in this order:
 
         B = max|delta| * 2**(e_in + 7) * s < 0.5 - 2**-8
 
@@ -301,11 +312,13 @@ def backward_hybrid(qtrace, target, m, lr, feedback=None):
     update. ``_requantize_params`` is called once per layer either way,
     with ``w=None`` when the layer is absorbed.
 
-    At most one layer's parameters and two activation vectors exist in
-    float at any moment; the returned stats carry the measured high-water
-    mark. ``lr`` must lie in [0, LR_MAX], where every scale lr * 2**-e is
-    finite in float32; TrainConfig checks it once, and this hot path does
-    not check it again.
+    The update works on at most one layer's parameters and two activation
+    vectors in float at any moment; the returned stats carry that
+    high-water mark. The float32 weight copies it reads are host caches of
+    integer code values, not a float shadow: every layer's stays with its
+    ``weights_q`` until the next write replaces the QTensor. ``lr`` must
+    lie in [0, LR_MAX], where every scale lr * 2**-e is finite in float32;
+    TrainConfig checks it once, and this hot path does not check it again.
     """
     t = np.asarray(target, dtype=np.float32)
     # float32(lr) as a Python float: times 2**-e it is exact in float64, so
@@ -330,19 +343,16 @@ def backward_hybrid(qtrace, target, m, lr, feedback=None):
             np.abs(delta).max() * np.float32(2.0 ** (layer.in_params.exponent + 7))
             * w_scale[()] < _ABSORBED
         )
-        w = None if absorbed and i == 0 else layer.weights_q.codes.astype(np.float32)
+        w32 = None if absorbed and i == 0 else _float_codes(layer.weights_q, _F32)
         b = layer.biases_q.astype(np.float32)
-        peak_params = max(peak_params, (0 if w is None else w.size) + b.size)
+        peak_params = max(peak_params, (0 if w32 is None else w32.size) + b.size)
         if i > 0:
             deriv_prev = activation_deriv(m.layers[i - 1].activation)(a_prev)
-            delta_below = w.T.dot(delta) * _POW2[_F32][w_exp] * deriv_prev
+            delta_below = w32.T.dot(delta) * _POW2[_F32][w_exp] * deriv_prev
             count += delta_below.size
         else:
             delta_below = None
-        if absorbed:
-            w = None
-        else:
-            w -= (delta[:, None] * a_prev) * w_scale
+        w = None if absorbed else w32 - (delta[:, None] * a_prev) * w_scale
         # a fresh array, not -=, as in backward_lsgd
         b = b - delta * np.array(lr * 2.0**-layer.bias_exponent, dtype=np.float32)
         _requantize_params(w, b, layer, feedback, i)

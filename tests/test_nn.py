@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -365,12 +369,12 @@ class TestForwardInt8:
         assert hits / len(X) >= 0.95
 
     @staticmethod
-    def assert_predict_int8_matches_per_sample(X):
-        q = quantize_model(build_model("car_evaluation", 3))
+    def assert_predict_int8_matches_per_sample(X, arch="car_evaluation"):
+        q = quantize_model(build_model(arch, 3))
         before = X.copy()
         batch = predict_int8(q, X)
         np.testing.assert_array_equal(X, before)
-        assert batch.shape == (len(X), 4) and batch.dtype == np.float32
+        assert batch.shape == (len(X), q.output_dim) and batch.dtype == np.float32
         in_params = q.layers[0].in_params
         for i in range(len(X)):
             tr = forward_int8(q, QTensor(quantize(X[i], in_params).codes, in_params))
@@ -381,15 +385,24 @@ class TestForwardInt8:
             rng.uniform(-1.5, 1.5, size=(20, 6)).astype(np.float32)
         )
 
-    @pytest.mark.parametrize("layout", ["0-rows", "1-row", "fortran", "negative-stride"])
-    def test_predict_int8_matches_per_sample_in_every_layout(self, rng, layout):
+    # cogdist's one-row batch takes the kernel's dot form for a single row
+    # and _requantize_lut's one-element branch (one sigmoid output)
+    @pytest.mark.parametrize(
+        "arch, layout",
+        [
+            pytest.param(arch, layout, id=layout if arch == "car_evaluation" else f"{arch}-{layout}")
+            for arch in ("car_evaluation", "cogdist")
+            for layout in ("0-rows", "1-row", "fortran", "negative-stride")
+        ],
+    )
+    def test_predict_int8_matches_per_sample_in_every_layout(self, rng, arch, layout):
         rows = {"0-rows": 0, "1-row": 1}.get(layout, 20)
         X = rng.uniform(-1.5, 1.5, size=(rows, 6)).astype(np.float32)
         if layout == "fortran":
             X = np.asfortranarray(X)
         elif layout == "negative-stride":
             X = X[::-1]
-        self.assert_predict_int8_matches_per_sample(X)
+        self.assert_predict_int8_matches_per_sample(X, arch)
 
     def test_wrong_representation(self):
         m = build_model("cogdist", 0)
@@ -400,6 +413,48 @@ class TestForwardInt8:
         q = quantize_model(build_model("cogdist", 0))
         with pytest.raises(InvariantError):
             predict_full(q, np.zeros((2, 6), dtype=np.float32))
+
+
+# Prints one digest of predict_int8 on a batch and on one row, and of the
+# forward_int8 codes of every row, for three quantized models.
+_INT8_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from qmlp.nn import build_model, forward_int8, predict_int8, quantize_model
+from qmlp.quant import quantize
+
+h = hashlib.sha256()
+for arch in ("car_evaluation", "cogdist", (200, [(64, "tanh"), (3, "sigmoid")])):
+    m = build_model(arch, 5)
+    rng = np.random.default_rng(6)
+    for l in m.layers:
+        l.biases[:] = rng.uniform(-0.5, 0.5, l.out_dim)
+    X = rng.uniform(-1.5, 1.5, (300, m.input_dim)).astype(np.float32)
+    q = quantize_model(m, calibration=X)
+    h.update(predict_int8(q, X).tobytes())
+    h.update(predict_int8(q, X[:1]).tobytes())
+    for x in X:
+        h.update(forward_int8(q, quantize(x, q.layers[0].in_params)).output.codes.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_int8_outputs_do_not_depend_on_the_blas_kernel():
+    # the int8 path sums integers below 2**31 in float64, exact in any
+    # order, so every OpenBLAS core type gives the same bytes (the float
+    # path does not promise this)
+    digests = {}
+    for core in (None, "Haswell", "Nehalem"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        proc = subprocess.run(
+            [sys.executable, "-c", _INT8_DIGEST_SCRIPT], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests[core] = proc.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
 
 
 class TestQuantizeModel:

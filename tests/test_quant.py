@@ -9,6 +9,7 @@ from qmlp.quant import (
     ActivationLUT,
     QTensor,
     QuantParams,
+    _FUSED_CODES,
     _lut_gather,
     _requantize_lut,
     apply_lut,
@@ -258,10 +259,16 @@ class TestRequantizeLut:
         np.testing.assert_array_equal(got, exact_lut(np.full(shape, 1000), -3))
         assert (acc != 1000.0).any() == written
 
-    def test_fused_table_is_read_only_and_512_bytes(self):
-        fused = build_lut("tanh", QuantParams(-4), QuantParams(-7)).fused
-        assert fused.dtype == np.int8 and fused.shape == (512,)
-        assert not fused.flags.writeable
+    def test_fused_tables_are_exact_and_read_only(self):
+        lut = build_lut("tanh", QuantParams(-4), QuantParams(-7))
+        codes = lut.table[_FUSED_CODES.astype(int) + 128]
+        assert lut.fused.dtype == np.float64 and lut.fused.shape == (512,)
+        assert lut.fused.tobytes() == codes.astype(np.float64).tobytes()
+        values = lut.fused_values
+        assert values.dtype == np.float32 and values.shape == (512,)
+        assert values.tolist() == [c * 2.0**-7 for c in codes.tolist()]
+        for table in (lut.fused, values):
+            assert not table.flags.writeable
 
 
 class TestLUT:

@@ -3,15 +3,32 @@
 quantize, linear_int8, apply_lut and the hybrid trainer's requantize step
 wrap freshly computed codes without the public constructor's validating
 copy; these tests pin down that no caller buffer leaks into, or out of,
-the tensors they return.
+the tensors they return. The float copies of a QTensor's codes that the
+kernels read are read-only too, and never outlive the codes they copy.
 """
 
 import numpy as np
 import pytest
 
-from qmlp.nn import build_model, linear_int8, quantize_model
-from qmlp.quant import QTensor, QuantParams, apply_lut, build_lut, quantize
-from qmlp.train import _requantize_params
+from qmlp.nn import (
+    Trace,
+    build_model,
+    clone_model,
+    linear_int8,
+    predict_int8,
+    quantize_model,
+)
+from qmlp.quant import (
+    QTensor,
+    QuantParams,
+    _float_codes,
+    apply_lut,
+    build_lut,
+    dequantize,
+    quantize,
+)
+from qmlp.train import FeedbackState, _requantize_params, backward_hybrid
+from test_properties import oracle_backward_hybrid, reference_kernel
 
 
 def assert_read_only(t):
@@ -67,3 +84,70 @@ def test_requantize_params(qlayer):
     before = new.codes.copy()
     w[:] = 0
     np.testing.assert_array_equal(new.codes, before)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_float_copy_is_read_only_and_kept(qlayer, dtype):
+    t = qlayer.weights_q
+    copy = _float_codes(t, np.dtype(dtype))
+    assert copy.dtype == dtype
+    assert copy.tobytes() == t.codes.astype(dtype).tobytes()
+    assert not copy.flags.writeable
+    with pytest.raises(ValueError):
+        copy[...] = 0
+    assert _float_codes(t, np.dtype(dtype)) is copy
+
+
+def reference_trace(m, x_q):
+    """forward_int8's trace by python-int arithmetic on the codes as they
+    are now, with no float copy read."""
+    acts, codes = [], x_q.codes.tolist()
+    for l in m.layers:
+        codes = [int(l.lut.table[c + 128]) for c in reference_kernel(codes, l)]
+        acts.append(QTensor(codes, l.act_params))
+    return Trace(x_q, acts)
+
+
+def write_with_requantize_params(layer, i, codes):
+    _requantize_params(codes.astype(np.float32), layer.biases_q.astype(np.float32), layer, None, i)
+
+
+def write_by_assignment(layer, i, codes):
+    layer.weights_q = QTensor(codes, layer.weights_q.params)
+
+
+@pytest.mark.parametrize("write", [write_with_requantize_params, write_by_assignment])
+def test_readers_see_codes_written_after_their_copies(write):
+    q = quantize_model(build_model("car_evaluation", 3))
+    X = np.random.default_rng(4).uniform(-1.5, 1.5, (5, 6)).astype(np.float32)
+    in_params = q.layers[0].in_params
+    target = np.array([1, 0, 0, 0], dtype=np.float32)
+    # every reader reads the old codes first: at rate 0, error feedback
+    # takes the full path, which reads every layer's codes and keeps them
+    old = reference_trace(q, quantize(X[0], in_params))
+    backward_hybrid(old, target, q, 0.0, FeedbackState.for_model(q))
+    predict_int8(q, X)
+    predict_int8(q, X[:1])
+    for x, l in zip([old.x, *old.acts], q.layers):
+        linear_int8(x, l)
+        _float_codes(l.weights_q, np.dtype(np.float32))
+    for i, l in enumerate(q.layers):
+        new = np.clip(-l.weights_q.codes.astype(int) - 1, -128, 127)
+        write(l, i, new)
+        assert np.array_equal(l.weights_q.codes, new)
+
+    traces = [reference_trace(q, quantize(x, in_params)) for x in X]
+    want = np.array([dequantize(t.output) for t in traces])
+    assert predict_int8(q, X).tobytes() == want.tobytes()
+    assert predict_int8(q, X[:1]).tobytes() == want[:1].tobytes()
+    trace = traces[0]
+    for x, l in zip([trace.x, *trace.acts], q.layers):
+        assert linear_int8(x, l).codes.tolist() == reference_kernel(x.codes.tolist(), l)
+
+    oracle = clone_model(q)
+    backward_hybrid(trace, target, q, lr=1.0)
+    oracle_backward_hybrid(trace, target, oracle, lr=1.0)
+    for l, r in zip(q.layers, oracle.layers):
+        assert l.weights_q.codes.tolist() == r.weights_q.codes.tolist()
+        assert l.biases_q.tolist() == r.biases_q.tolist()
+
