@@ -109,7 +109,7 @@ def _resolve_dataset(args):
     if args.arch == "car_evaluation":
         return data_mod.load_car_evaluation(name)
     if args.arch == "cogdist":
-        return data_mod.load_csv_generic(name, 6)
+        return data_mod.load_csv_generic(name, ARCHITECTURES[args.arch][0])
     raise ConfigurationError(
         "loading a dataset from a path needs --arch to pick the loader"
     )

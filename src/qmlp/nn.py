@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DataError, InvariantError
-from .fastmath import _F64, ACTIVATION_NAMES, _round_half_away, activation_fn
+from .fastmath import ACTIVATION_NAMES, _round_half_away, activation_fn
 from .quant import (
     DEFAULT_ACTIVATION_EXPONENT,
     DEFAULT_PREACT_EXPONENT,
@@ -301,7 +301,9 @@ def _int8_kernel(a, layer):
     """The int8 kernel on input codes held in float64, [in] or [n x in]:
     the multiply-accumulate, as a fresh float64 array of integer
     accumulators. The weight codes are read as their float64 copy, which
-    ``quant._float_codes`` makes once per ``weights_q``.
+    ``quant._float_codes`` makes once per ``weights_q``: the one float form
+    of a code kept between calls, read by every serving row and again by
+    the next forward after a step that absorbed the layer's weight update.
 
     The products are summed by float64 BLAS, which is exact here: each
     product is an integer of magnitude at most 2**14, so every partial sum
@@ -316,7 +318,7 @@ def _int8_kernel(a, layer):
     a larger batch goes through ``@``, 6% faster on 1024 rows. Any
     summation order gives the same bits, as above.
     """
-    w = _float_codes(layer.weights_q, _F64).T
+    w = _float_codes(layer.weights_q).T
     return (a.dot(w) if a.ndim == 1 or len(a) == 1 else a @ w) + layer.biases_q
 
 

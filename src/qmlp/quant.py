@@ -6,8 +6,10 @@ all rescaling reduces to integer shifts. Codes use the full [-128, 127]
 range with saturation at both ends.
 
 QTensor and ActivationLUT are immutable after construction and safe to share
-across concurrent readers. A QTensor's float copies of its codes are made on
-first use (``_float_codes``); readers racing to make one make equal copies.
+across concurrent readers. A QTensor keeps one float form of its codes, the
+float64 copy the int8 kernel reads, made on first use (``_float_codes``);
+readers racing to make it make equal copies. Every other float form of a
+QTensor's codes is cast where it is read.
 """
 
 import math
@@ -101,20 +103,16 @@ class QTensor:
 
     codes: np.ndarray
     params: QuantParams
-    # the float copies of codes that _float_codes makes on first use
+    # the float64 copy of codes that _float_codes makes on first use
     _codes_f64 = None
-    _codes_f32 = None
 
     def __post_init__(self):
         object.__setattr__(self, "codes", _int8_codes(self.codes))
 
 
-_FLOAT_COPY = {_F64: "_codes_f64", _F32: "_codes_f32"}
-
-
-def _float_codes(t, dtype):
-    """``t.codes`` as a read-only array of ``dtype`` (float64 or float32),
-    the form the float kernels read: made on first use and kept on ``t``.
+def _float_codes(t):
+    """``t.codes`` as a read-only float64 array, the form ``nn._int8_kernel``
+    reads: made on first use and kept on ``t``.
 
     A QTensor never changes its codes, and every code write makes a new
     QTensor, so the copy cannot go stale and needs no invalidation. It is
@@ -122,12 +120,11 @@ def _float_codes(t, dtype):
     its values, which the frozen dataclass's ``__setattr__`` does not
     guard.
     """
-    name = _FLOAT_COPY[dtype]
-    copy = getattr(t, name)
+    copy = t._codes_f64
     if copy is None:
-        copy = t.codes.astype(dtype)
+        copy = t.codes.astype(_F64)
         copy.setflags(False)  # write=False; the keyword costs 0.1 us more
-        t.__dict__[name] = copy
+        t.__dict__["_codes_f64"] = copy
     return copy
 
 

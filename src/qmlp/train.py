@@ -34,7 +34,6 @@ from .quant import (
     EXPONENT_MIN,
     _CODE_BOUNDS,
     _POW2,
-    _float_codes,
     _from_codes,
     dequantize,
     quantize,
@@ -271,17 +270,16 @@ def backward_hybrid(qtrace, target, m, lr, feedback=None):
     below), apply the update, and requantize immediately back into the
     layer's existing exponents. Exponents and LUTs are never rebuilt.
 
-    The parameters are never dequantized: they work in code units, the
-    weights as the float32 copy of their codes that ``quant._float_codes``
-    keeps with ``weights_q`` (made on first use after each write) and the
-    biases as their codes cast to float32. The delta below is ``(codes.T @ delta) * 2**e_w
-    * act'``, the full path's new weights are a fresh ``codes - update``,
-    and the updates are scaled by ``float32(lr) * 2**-e``. A
-    power-of-two scale commutes with float32 rounding, so ``_requantize_params``
-    rounds the same values a dequantize, update and divide in real units
-    would give, except where an intermediate is subnormal (below 2**-126) in
-    one unit but not the other; that never moves a code. The error-feedback
-    residuals are kept in code units too.
+    The parameters are never dequantized: they work in code units, as
+    their codes cast to float32 where the step reads them. The delta below
+    is ``(codes.T @ delta) * 2**e_w * act'``, the full path's new weights
+    are ``codes - update``, and the updates are scaled by
+    ``float32(lr) * 2**-e``. A power-of-two scale commutes with float32
+    rounding, so ``_requantize_params`` rounds the same values a
+    dequantize, update and divide in real units would give, except where
+    an intermediate is subnormal (below 2**-126) in one unit but not the
+    other; that never moves a code. The error-feedback residuals are kept
+    in code units too.
 
     Without error feedback, a layer whose weight update is provably absorbed
     skips the weight write-back: no outer product, subtract or rounding, and
@@ -314,11 +312,12 @@ def backward_hybrid(qtrace, target, m, lr, feedback=None):
 
     The update works on at most one layer's parameters and two activation
     vectors in float at any moment; the returned stats carry that
-    high-water mark. The float32 weight copies it reads are host caches of
-    integer code values, not a float shadow: every layer's stays with its
-    ``weights_q`` until the next write replaces the QTensor. ``lr`` must
-    lie in [0, LR_MAX], where every scale lr * 2**-e is finite in float32;
-    TrainConfig checks it once, and this hot path does not check it again.
+    high-water mark. None of those floats outlives its layer's turn. The
+    one float form of the codes kept between steps is the forward kernel's
+    float64 weight copy (``nn._int8_kernel``), a host cache of integer code
+    values, not a float shadow. ``lr`` must lie in [0, LR_MAX], where every
+    scale lr * 2**-e is finite in float32; TrainConfig checks it once, and
+    this hot path does not check it again.
     """
     t = np.asarray(target, dtype=np.float32)
     # float32(lr) as a Python float: times 2**-e it is exact in float64, so
@@ -343,7 +342,7 @@ def backward_hybrid(qtrace, target, m, lr, feedback=None):
             np.abs(delta).max() * np.float32(2.0 ** (layer.in_params.exponent + 7))
             * w_scale[()] < _ABSORBED
         )
-        w32 = None if absorbed and i == 0 else _float_codes(layer.weights_q, _F32)
+        w32 = None if absorbed and i == 0 else layer.weights_q.codes.astype(np.float32)
         b = layer.biases_q.astype(np.float32)
         peak_params = max(peak_params, (0 if w32 is None else w32.size) + b.size)
         if i > 0:

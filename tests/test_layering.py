@@ -1,10 +1,11 @@
 """Structure checks: the module layer order, no assert statements and no
 unused imports in the package, the names the demos import, and the qmlp
-names README.md cites."""
+names README.md and the package docstrings cite."""
 
 import ast
 import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -95,10 +96,8 @@ def _resolves(obj, parts):
     }
 
 
-def test_readme_names_resolve():
-    # every backticked `module.name`, `qmlp.module.name` or `Class.field` in
-    # README.md that starts at a qmlp module or class must resolve, so a
-    # deletion or rename fails until the README follows
+def _qmlp_owners():
+    """Every qmlp module by its short name, and every qmlp class by name."""
     modules = {name: importlib.import_module(f"qmlp.{name}") for name in LAYERS}
     classes = {
         name: obj
@@ -106,16 +105,84 @@ def test_readme_names_resolve():
         for name, obj in vars(module).items()
         if isinstance(obj, type) and obj.__module__.startswith("qmlp.")
     }
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    cited = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text))
+    return {**classes, **modules}
+
+
+def _unresolved(cited):
+    """The dotted names in ``cited`` that start at a qmlp module or class
+    (a leading ``qmlp.`` dropped) and do not resolve, and how many started
+    there: a name like ``np.dot`` is not counted."""
+    owners = _qmlp_owners()
     checked, missing = 0, []
     for dotted in sorted(cited):
         first, *rest = dotted.removeprefix("qmlp.").split(".")
-        owner = modules.get(first, classes.get(first))
-        if owner is None:
-            continue  # not a qmlp name, e.g. `np.dot`
+        if first not in owners:
+            continue
         checked += 1
-        if not _resolves(owner, rest):
+        if not _resolves(owners[first], rest):
             missing.append(dotted)
+    return checked, missing
+
+
+def test_readme_names_resolve():
+    # every backticked `module.name`, `qmlp.module.name` or `Class.field` in
+    # README.md that starts at a qmlp module or class must resolve, so a
+    # deletion or rename fails until the README follows
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    checked, missing = _unresolved(set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text)))
     assert checked >= 20
     assert not missing, f"README.md cites names qmlp does not have: {missing}"
+
+
+def _docstrings():
+    """(module, docstring) for every module, class and function docstring
+    in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(
+            "qmlp" if path.stem == "__init__" else f"qmlp.{path.stem}"
+        )
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = ast.get_docstring(node)
+                if doc:
+                    yield module, doc
+
+
+def _takes(fn, args):
+    """Whether ``fn`` accepts the arguments a docstring writes as ``args``:
+    no more positional ones than it has parameters, and only keywords it
+    names."""
+    params = inspect.signature(fn).parameters
+    if any(p.kind is p.VAR_POSITIONAL for p in params.values()):
+        return True
+    written = [a.strip() for a in args.split(",") if a.strip()]
+    keywords = [a.split("=")[0].strip() for a in written if "=" in a]
+    return len(written) - len(keywords) <= len(params) and all(k in params for k in keywords)
+
+
+def test_docstring_names_resolve():
+    # every double-backticked ``module.name`` or ``Class.field`` in a
+    # package docstring that starts at a qmlp module or class must resolve,
+    # as the README's names do; one written as a call, ``name(args)`` (a
+    # dotted name, or a function of the docstring's own module), must name
+    # arguments the function takes. A docstring that still names a deleted
+    # attribute or parameter fails.
+    owners = _qmlp_owners()
+    cited, calls = set(), []
+    for module, doc in _docstrings():
+        for name, args in re.findall(r"``([A-Za-z_][\w.]*)(?:\(([^`]*)\))?``", doc):
+            first, *rest = name.removeprefix("qmlp.").split(".")
+            if rest:
+                cited.add(name)
+            if args:
+                owner = owners.get(first) if rest else module
+                for part in rest or [first]:
+                    owner = getattr(owner, part, None)
+                if callable(owner):
+                    calls.append((name, args, owner))
+    checked, missing = _unresolved(cited)
+    assert checked >= 5
+    assert not missing, f"package docstrings cite names qmlp does not have: {missing}"
+    assert calls
+    wrong = [f"{name}({args})" for name, args, fn in calls if not _takes(fn, args)]
+    assert not wrong, f"package docstrings call functions with arguments they do not take: {wrong}"

@@ -3,13 +3,16 @@
 quantize, linear_int8, apply_lut and the hybrid trainer's requantize step
 wrap freshly computed codes without the public constructor's validating
 copy; these tests pin down that no caller buffer leaks into, or out of,
-the tensors they return. The float copies of a QTensor's codes that the
-kernels read are read-only too, and never outlive the codes they copy.
+the tensors they return. The float64 copy of a QTensor's codes that the
+int8 kernel reads is read-only too, never outlives the codes it copies,
+and is the only float form of them a QTensor keeps.
 """
 
 import numpy as np
 import pytest
 
+from qmlp import train as train_mod
+from qmlp.data import split, synth_cogdist
 from qmlp.nn import (
     Trace,
     build_model,
@@ -27,7 +30,14 @@ from qmlp.quant import (
     dequantize,
     quantize,
 )
-from qmlp.train import FeedbackState, _requantize_params, backward_hybrid
+from qmlp.train import (
+    FeedbackState,
+    TrainConfig,
+    _requantize_params,
+    backward_hybrid,
+    finetune_quantized,
+    train_full,
+)
 from test_properties import oracle_backward_hybrid, reference_kernel
 
 
@@ -86,16 +96,43 @@ def test_requantize_params(qlayer):
     np.testing.assert_array_equal(new.codes, before)
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_float_copy_is_read_only_and_kept(qlayer, dtype):
+def test_float_copy_is_read_only_and_kept(qlayer):
     t = qlayer.weights_q
-    copy = _float_codes(t, np.dtype(dtype))
-    assert copy.dtype == dtype
-    assert copy.tobytes() == t.codes.astype(dtype).tobytes()
+    copy = _float_codes(t)
+    assert copy.dtype == np.float64
+    assert copy.tobytes() == t.codes.astype(np.float64).tobytes()
     assert not copy.flags.writeable
     with pytest.raises(ValueError):
         copy[...] = 0
-    assert _float_codes(t, np.dtype(dtype)) is copy
+    assert _float_codes(t) is copy
+
+
+@pytest.mark.parametrize("arch, error_feedback", [("car_evaluation", False), ("cogdist", True)])
+def test_finetuning_keeps_no_float32_weight_copy(request, monkeypatch, arch, error_feedback):
+    # the backward casts the weight codes where it reads them, so after no
+    # step of an epoch does a QTensor keep a float32 form: neither one whose
+    # update was absorbed (car, without error feedback) nor a written one
+    if arch == "cogdist":
+        splits = split(synth_cogdist(0), 0.8, seed=0)
+    else:
+        splits = request.getfixturevalue("car_splits")
+    m = build_model(arch, 1)
+    train_full(m, splits, TrainConfig(epochs=2))
+    q = quantize_model(m)
+    kept = []
+
+    def step(*args, **kwargs):
+        stats = backward_hybrid(*args, **kwargs)
+        kept.extend(
+            i for i, l in enumerate(q.layers) for v in vars(l.weights_q).values()
+            if isinstance(v, np.ndarray) and v.dtype == np.float32
+        )
+        return stats
+
+    monkeypatch.setattr(train_mod, "backward_hybrid", step)
+    cfg = TrainConfig(epochs=1, learning_rate=0.05, error_feedback=error_feedback)
+    finetune_quantized(q, splits, cfg)
+    assert not kept
 
 
 def reference_trace(m, x_q):
@@ -123,14 +160,14 @@ def test_readers_see_codes_written_after_their_copies(write):
     in_params = q.layers[0].in_params
     target = np.array([1, 0, 0, 0], dtype=np.float32)
     # every reader reads the old codes first: at rate 0, error feedback
-    # takes the full path, which reads every layer's codes and keeps them
+    # takes the full path, which reads every layer's codes, and the kernels
+    # then keep their float64 copies
     old = reference_trace(q, quantize(X[0], in_params))
     backward_hybrid(old, target, q, 0.0, FeedbackState.for_model(q))
     predict_int8(q, X)
     predict_int8(q, X[:1])
     for x, l in zip([old.x, *old.acts], q.layers):
         linear_int8(x, l)
-        _float_codes(l.weights_q, np.dtype(np.float32))
     for i, l in enumerate(q.layers):
         new = np.clip(-l.weights_q.codes.astype(int) - 1, -128, 127)
         write(l, i, new)
