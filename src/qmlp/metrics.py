@@ -1,4 +1,5 @@
-"""Classification metrics and memory-footprint accounting.
+"""Classification metrics and memory-footprint accounting, the latter as
+the ``nbytes`` of the arrays a model holds.
 
 Multi-class scores are macro-averaged (unweighted mean of per-class
 precision/recall/F1); binary scores come from the positive class.
@@ -10,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvariantError
 from .data import predict_labels
-from .nn import FULL, predict_full, predict_int8
+from .nn import FULL, QUANTIZED, predict_full, predict_int8
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,11 +79,13 @@ def evaluate(m, ds, math_mode="reference"):
 
 @dataclass(frozen=True)
 class MemoryReport:
-    """Parameter-storage byte counts and reduction ratios.
+    """Parameter-storage byte counts and reduction ratios: the ``nbytes`` of
+    the arrays each model holds.
 
-    ``quantized_bytes`` counts 8-bit weight codes, 32-bit bias codes, and
-    the 256-byte LUT per layer; the excluding-LUT figure is reported
-    alongside since the headline reduction claim is about parameters.
+    ``full_bytes`` counts float32 weights and biases; ``quantized_bytes``
+    counts int8 weight codes, int32 bias codes and each layer's 256-entry
+    int8 ``ActivationLUT.table``. The excluding-LUT figure is reported
+    alongside, since the headline reduction claim is about parameters.
     """
 
     full_bytes: int
@@ -92,33 +95,16 @@ class MemoryReport:
     ratio_excl_lut: float
 
 
-def model_bytes(m, include_luts=True):
-    """Parameter bytes for a model in its own representation."""
-    total = 0
-    for layer in m.layers:
-        n_w = layer.in_dim * layer.out_dim
-        if m.representation == FULL:
-            total += 4 * (n_w + layer.out_dim)
-        else:
-            total += n_w + 4 * layer.out_dim
-            if include_luts:
-                total += 256
-    return total
-
-
 def memory_report(full_m, q_m):
-    """Compare parameter storage between two same-architecture models."""
-    shapes_a = [(l.in_dim, l.out_dim, l.activation) for l in full_m.layers]
-    shapes_b = [(l.in_dim, l.out_dim, l.activation) for l in q_m.layers]
-    if shapes_a != shapes_b:
-        raise InvariantError("memory report requires models of the same architecture")
-    full_bytes = model_bytes(full_m)
-    q_bytes = model_bytes(q_m)
-    q_excl = model_bytes(q_m, include_luts=False)
-    return MemoryReport(
-        full_bytes,
-        q_bytes,
-        q_excl,
-        full_bytes / q_bytes,
-        full_bytes / q_excl,
-    )
+    """Compare the parameter storage of a full-precision model and a
+    quantized model of one architecture; any other pair raises
+    InvariantError."""
+    shapes = [[(l.in_dim, l.out_dim, l.activation) for l in m.layers] for m in (full_m, q_m)]
+    if (full_m.representation, q_m.representation) != (FULL, QUANTIZED) or shapes[0] != shapes[1]:
+        raise InvariantError(
+            "memory report requires a full-precision and a quantized model of the same architecture"
+        )
+    full_bytes = sum(l.weights.nbytes + l.biases.nbytes for l in full_m.layers)
+    q_excl = sum(l.weights_q.codes.nbytes + l.biases_q.nbytes for l in q_m.layers)
+    q_bytes = q_excl + sum(l.lut.table.nbytes for l in q_m.layers)
+    return MemoryReport(full_bytes, q_bytes, q_excl, full_bytes / q_bytes, full_bytes / q_excl)

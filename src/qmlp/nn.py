@@ -360,17 +360,17 @@ def predict_int8(m, X):
     codes to float64 once, then runs the multiply-accumulate of
     linear_int8 on the whole batch, followed by one gather per layer that
     requantizes and applies the LUT together (``quant._requantize_lut``):
-    a hidden layer gathers float64 codes, the form the next kernel reads,
-    and the last layer gathers its float32 output values. The codes equal
-    forward_int8's row by row.
+    a hidden layer passes ``ActivationLUT.fused``, float64 codes, the form
+    the next kernel reads, and the last layer ``ActivationLUT.fused_values``,
+    its float32 output values. The codes equal forward_int8's row by row.
     """
     X = _batch(m, X, QUANTIZED, "predict_int8")
     a = quantize(X, m.layers[0].in_params).codes.astype(np.float64)
     *hidden, last = m.layers
     for layer in hidden:
-        a = _requantize_lut(_int8_kernel(a, layer), layer.requantize_shift_amount, layer.lut)
+        a = _requantize_lut(_int8_kernel(a, layer), layer.requantize_shift_amount, layer.lut.fused)
     acc = _int8_kernel(a, last)
-    return _requantize_lut(acc, last.requantize_shift_amount, last.lut, values=True)
+    return _requantize_lut(acc, last.requantize_shift_amount, last.lut.fused_values)
 
 
 def quantize_model(m, calibration=None):

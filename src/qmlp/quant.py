@@ -148,14 +148,14 @@ class ActivationLUT:
     and the name of the activation it was built from. The table's entries
     must be whole numbers in [-128, 127], as for ``QTensor``.
 
-    Two 512-entry tables are derived from ``table`` when the LUT is built,
-    for ``_requantize_lut`` to requantize and look up in one gather:
-    ``fused``, fused[k] = table[_FUSED_CODES[k] + 128] as exact float64
-    codes, the form the next layer's kernel reads, and ``fused_values``,
-    the same codes' output values fused[k] * 2**e_out in float32 (exact),
-    the form a batch's output takes. Both are read-only and live in host
-    memory only (4 KB + 2 KB); the model file and the memory report do
-    not count them.
+    Two 512-entry tables are derived from ``table`` when the LUT is built;
+    ``_requantize_lut(acc, shift, table)`` requantizes and looks up in one
+    gather of the one its caller passes: ``fused``, fused[k] =
+    table[_FUSED_CODES[k] + 128] as exact float64 codes, the form the next
+    layer's kernel reads, and ``fused_values``, the same codes' output
+    values fused[k] * 2**e_out in float32 (exact), the form a batch's
+    output takes. Both are read-only and live in host memory only
+    (4 KB + 2 KB); the model file and the memory report do not count them.
     """
 
     table: np.ndarray
@@ -268,10 +268,11 @@ def requantize_shift(acc, shift):
     return int(codes) if codes.ndim == 0 else codes
 
 
-def _requantize_lut(acc, shift, lut, values=False):
+def _requantize_lut(acc, shift, table):
     """lut.table[requantize_shift(acc, shift) + 128], as one gather of
-    ``lut.fused`` at ``_fused_index``'s k: float64 codes, or with
-    ``values`` their float32 output values from ``lut.fused_values``.
+    ``table`` at ``_fused_index``'s k: the caller names one of the LUT's
+    fused tables, ``ActivationLUT.fused`` for float64 codes or
+    ``ActivationLUT.fused_values`` for their float32 output values.
     The index is computed in place on ``acc``, a float64 array the caller
     owns. A one-element ``acc`` (a single row of a one-neuron layer) takes
     the fresh steps instead, which cost less there. The shift is not
@@ -280,7 +281,6 @@ def _requantize_lut(acc, shift, lut, values=False):
     The +256 offset of the index stays: ``take`` with negative indices
     ran 170 us against 24 us with the offset ones on 32k indices.
     """
-    table = lut.fused_values if values else lut.fused
     return table.take(_fused_index(acc, shift, acc if acc.size > 1 else None))
 
 

@@ -77,6 +77,11 @@ class TrainConfig:
     error_feedback: bool = False
 
     def __post_init__(self):
+        # range() and default_rng refuse a float only once the run has started
+        for name in ("epochs", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
         # learning_rate 0 is allowed (a no-op run used by tests); negative,

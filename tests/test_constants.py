@@ -80,9 +80,9 @@ def test_codes_stay_int8_and_values_float32(shape):
     layer = m.layers[0]
     acc = _int8_kernel(codes, layer)
     assert acc.dtype == np.float64 and acc.shape == (*shape[:-1], 4)
-    out = _requantize_lut(acc.copy(), layer.requantize_shift_amount, layer.lut)
+    out = _requantize_lut(acc.copy(), layer.requantize_shift_amount, layer.lut.fused)
     assert out.dtype == np.float64
-    out = _requantize_lut(acc, layer.requantize_shift_amount, layer.lut, values=True)
+    out = _requantize_lut(acc, layer.requantize_shift_amount, layer.lut.fused_values)
     assert out.dtype == np.float32
     X = rng.uniform(-1.0, 1.0, (int(np.prod(shape[:-1])), shape[-1]))
     assert predict_int8(m, X).dtype == np.float32

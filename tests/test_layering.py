@@ -1,6 +1,7 @@
-"""Structure checks: the module layer order, no assert statements and no
-unused imports in the package, the names the demos import, and the qmlp
-names README.md and the package docstrings cite."""
+"""Structure checks: the module layer order, no assert statements, no
+True/False parameter defaults and no unused imports in the package, the
+names the demos import, and the qmlp names README.md and the package
+docstrings cite."""
 
 import ast
 import dataclasses
@@ -46,6 +47,27 @@ def test_package_has_no_assert_statements():
                 f"{path.name}:{node.lineno} has an assert statement; raise an "
                 f"error from qmlp.errors instead"
             )
+
+
+def test_no_parameter_defaults_to_a_boolean():
+    # a True/False default is a switch between two behaviours; the caller
+    # names the one it wants instead (a dataclass field is a run setting,
+    # not a parameter, and is not checked)
+    switches = []
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                     *zip(args.kwonlyargs, args.kw_defaults)]
+            switches += [
+                f"{path.stem}.{node.name}.{arg.arg}"
+                for arg, default in pairs
+                if isinstance(default, ast.Constant) and isinstance(default.value, bool)
+            ]
+    assert not switches, f"parameters with a True/False default: {switches}"
 
 
 def test_every_imported_name_is_read():

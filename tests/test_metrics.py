@@ -8,7 +8,6 @@ from qmlp.metrics import (
     evaluate,
     memory_report,
     metrics_from_confusion,
-    model_bytes,
 )
 from qmlp.nn import build_model, quantize_model
 
@@ -171,11 +170,14 @@ class TestMemoryReport:
         assert rep.quantized_bytes_excl_lut == 768 + 208
         assert round(rep.ratio_excl_lut, 2) == 3.36
 
-    def test_identical_models_ratio_one(self):
-        m = build_model("cogdist", 0)
-        rep = memory_report(m, m)
-        assert rep.ratio == 1.0
-        assert rep.ratio_excl_lut == 1.0
+    # counted as arrays, any other pair would still give numbers: (q, m) a
+    # "0.53x" reduction, (q, q) int8 bytes plus LUTs as full_bytes
+    @pytest.mark.parametrize("pair", ["full-full", "quantized-full", "quantized-quantized"])
+    def test_pairs_other_than_full_then_quantized_refused(self, pair):
+        m = build_model("car_evaluation", 0)
+        models = {"full": m, "quantized": quantize_model(m)}
+        with pytest.raises(InvariantError):
+            memory_report(*(models[r] for r in pair.split("-")))
 
     def test_ratio_definition(self):
         m = build_model("car_evaluation", 2)
@@ -186,9 +188,3 @@ class TestMemoryReport:
     def test_architecture_mismatch(self):
         with pytest.raises(InvariantError):
             memory_report(build_model("cogdist", 0), quantize_model(build_model("car_evaluation", 0)))
-
-    def test_model_bytes_by_representation(self):
-        m = build_model("car_evaluation", 0)
-        assert model_bytes(m) == 4 * 820
-        q = quantize_model(m)
-        assert model_bytes(q, include_luts=False) == 820 - 52 + 4 * 52

@@ -223,7 +223,7 @@ class TestRequantizeLut:
         accs = sorted({a + d for lo, hi in ends for a in (lo, hi) for d in (-1, 0, 1)})
         accs = np.array([a for a in accs if abs(a) <= ACC_MAX], dtype=np.int64)
         assert {-ACC_MAX, ACC_MAX} <= set(accs.tolist())
-        got = _requantize_lut(accs.astype(np.float64), shift, SCRAMBLED_LUT)
+        got = _requantize_lut(accs.astype(np.float64), shift, SCRAMBLED_LUT.fused)
         np.testing.assert_array_equal(got, exact_lut(accs, shift))
 
     @pytest.mark.parametrize("shift", range(-31, 0))
@@ -233,7 +233,7 @@ class TestRequantizeLut:
         half = 1 << (-shift - 1)
         accs = [(2 * j + 1) * half for j in range(-130, 130)]
         accs = np.array([a for a in accs if abs(a) <= ACC_MAX], dtype=np.int64)
-        got = _requantize_lut(accs.astype(np.float64), shift, SCRAMBLED_LUT)
+        got = _requantize_lut(accs.astype(np.float64), shift, SCRAMBLED_LUT.fused)
         np.testing.assert_array_equal(got, exact_lut(accs, shift))
 
     @pytest.mark.parametrize("shape", [(), (1, 7), (5, 7), (1, 1)])
@@ -244,7 +244,7 @@ class TestRequantizeLut:
         # magnitudes from 2**31 down to 1, so every shift sees codes off the rails
         accs = rng.integers(-ACC_MAX, ACC_MAX + 1, size) >> rng.integers(0, 31, size)
         accs = accs.reshape(shape)
-        got = _requantize_lut(accs.astype(np.float64), shift, SCRAMBLED_LUT)
+        got = _requantize_lut(accs.astype(np.float64), shift, SCRAMBLED_LUT.fused)
         assert np.shape(got) == shape
         np.testing.assert_array_equal(got, exact_lut(accs, shift))
 
@@ -255,7 +255,7 @@ class TestRequantizeLut:
     )
     def test_only_a_one_element_accumulator_is_not_written(self, shape, written):
         acc = np.full(shape, 1000.0)
-        got = _requantize_lut(acc, -3, SCRAMBLED_LUT)
+        got = _requantize_lut(acc, -3, SCRAMBLED_LUT.fused)
         np.testing.assert_array_equal(got, exact_lut(np.full(shape, 1000), -3))
         assert (acc != 1000.0).any() == written
 

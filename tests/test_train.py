@@ -47,11 +47,24 @@ class TestConfig:
          dict(epochs=1, learning_rate=float("inf")),
          dict(epochs=1, learning_rate=float("-inf")), dict(epochs=1, seed=-1),
          # finite, but the smallest bias exponent's update scale overflows float32
-         dict(epochs=1, learning_rate=float(np.nextafter(LR_MAX, np.inf)))],
+         dict(epochs=1, learning_rate=float(np.nextafter(LR_MAX, np.inf))),
+         # range() and default_rng would refuse a float count only once the
+         # run had started, and a string count fails the comparisons below
+         dict(epochs=1.5), dict(epochs=2.0), dict(epochs="3"),
+         dict(epochs=1, seed=1.5), dict(epochs=1, seed=2.0)],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["epochs", "seed"])
+    def test_non_integer_count_is_named(self, name):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an integer"):
+            TrainConfig(**{"epochs": 1, name: 1.5})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = TrainConfig(epochs=np.int64(2), seed=np.int32(3))
+        assert (cfg.epochs, cfg.seed) == (2, 3)
 
     def test_largest_learning_rate_is_accepted(self):
         scale = np.float32(LR_MAX) * np.float32(2.0 ** (-2 * EXPONENT_MIN))
