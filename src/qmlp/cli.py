@@ -50,14 +50,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(text):
-    """--seed: an integer >= 0, as numpy's generators require."""
+    """--seed: a seed ``data._check_seed`` accepts; its refusal is a usage error."""
     try:
         seed = int(text)
     except ValueError:
-        seed = -1  # reported as not an integer >= 0, below
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
-    return seed
+        seed = text  # not an integer: refused below, named as typed
+    try:
+        return data_mod._check_seed(seed)
+    except ConfigurationError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _add_common(p):

@@ -31,6 +31,14 @@ CAR_CLASSES = ("unacc", "acc", "good", "vgood")
 CAR_CANONICAL_ROWS = 1728
 
 
+def _check_seed(seed):
+    """The seed rule, checked before a seed reaches a numpy generator: a
+    Python or numpy integer >= 0, else ConfigurationError. Returns the seed."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
+
+
 def predict_labels(outputs):
     """Decision rule from outputs or targets [n x c] (or one row [c]) to
     class labels: threshold 0.5 for a single column, else argmax (ties
@@ -199,7 +207,7 @@ def synth_cogdist(seed):
     separable, with 5% label noise. Deterministic under seed. Normalization
     statistics are bound at split time.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     a, sigma = 1.5, 0.8
     base = np.full(6, a)
     alt = a * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
@@ -272,7 +280,7 @@ def split(ds, train_fraction=0.8, seed=0):
         raise ConfigurationError(f"train fraction {train_fraction} outside (0, 1)")
     if ds.n < 2:
         raise ConfigurationError("cannot split fewer than 2 samples")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     labels = ds.labels()
 
     train_idx, val_idx = [], []

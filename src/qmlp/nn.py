@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _check_seed
 from .errors import ConfigurationError, DataError, InvariantError
 from .fastmath import ACTIVATION_NAMES, _round_half_away, activation_fn
 from .quant import (
@@ -223,7 +224,7 @@ def build_model(spec, seed):
     input_dim, layer_specs = _resolve_arch(spec)
     if input_dim <= 0 or not layer_specs or any(n <= 0 for n, _ in layer_specs):
         raise ConfigurationError("a model needs one or more layers, with positive dimensions")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     layers = []
     fan_in = input_dim
     for out_dim, act in layer_specs:
@@ -248,11 +249,17 @@ class Trace:
         return self.acts[-1]
 
 
-def _batch(m, X, representation, what):
-    """``X`` as a float32 batch [n x input_dim] for a model of the given
-    representation; anything else raises InvariantError."""
+def _require(m, representation, what):
+    """The kind rule: ``what`` needs a model of the given representation,
+    and any other raises InvariantError."""
     if m.representation != representation:
         raise InvariantError(f"{what} requires a {representation} model")
+
+
+def _batch(m, X, representation, what):
+    """``X`` as a float32 batch [n x input_dim] for a model of the given
+    representation (``_require``); anything else raises InvariantError."""
+    _require(m, representation, what)
     X = np.asarray(X, dtype=np.float32)
     if X.ndim != 2 or X.shape[1] != m.input_dim:
         raise InvariantError(
@@ -279,8 +286,7 @@ def _float_layers(m, A, math_mode):
 def forward_full(m, x, math_mode="reference"):
     """Dense forward pass on one row, the n = 1 case of ``predict_full``'s
     loop; returns the full trace."""
-    if m.representation != FULL:
-        raise InvariantError("forward_full requires a full-precision model")
+    _require(m, FULL, "forward_full")
     x = np.asarray(x, dtype=np.float32)
     if x.shape != (m.input_dim,):
         raise InvariantError(
@@ -343,8 +349,7 @@ def linear_int8(x_q, layer):
 
 def forward_int8(m, x_q):
     """Quantized forward pass: alternate the int8 kernel and LUT activations."""
-    if m.representation != QUANTIZED:
-        raise InvariantError("forward_int8 requires a quantized model")
+    _require(m, QUANTIZED, "forward_int8")
     cur = x_q
     acts = []
     for layer in m.layers:
@@ -383,8 +388,7 @@ def quantize_model(m, calibration=None):
     max-abs forward pass instead. The calibration pass and the per-layer
     LUTs use the reference activations.
     """
-    if m.representation != FULL:
-        raise InvariantError("quantize_model requires a full-precision model")
+    _require(m, FULL, "quantize_model")
 
     input_exp = DEFAULT_ZERO_EXPONENT
     preact_exps = [DEFAULT_PREACT_EXPONENT] * len(m.layers)
@@ -414,17 +418,11 @@ def quantize_model(m, calibration=None):
 
 
 def clone_model(m):
-    """Independent copy safe to train without touching the original."""
+    """Independent copy safe to train without touching the original. A quantized
+    copy shares the QTensors and LUTs, which are immutable and which training
+    replaces rather than mutates; QDenseLayer's int32 cast copies the bias codes."""
     if m.representation == FULL:
-        layers = [
-            DenseLayer(l.weights.copy(), l.biases.copy(), l.activation)
-            for l in m.layers
-        ]
-    else:
-        # QTensor/LUT components are immutable and training replaces rather
-        # than mutates them, so sharing the initial buffers is safe.
-        layers = [
-            QDenseLayer(l.weights_q, l.biases_q.copy(), l.in_params, l.lut)
-            for l in m.layers
-        ]
-    return Model(layers)
+        return Model(
+            [DenseLayer(l.weights.copy(), l.biases.copy(), l.activation) for l in m.layers]
+        )
+    return Model([QDenseLayer(l.weights_q, l.biases_q, l.in_params, l.lut) for l in m.layers])

@@ -11,13 +11,14 @@ A training run owns its model exclusively. Validation inside an epoch only
 reads the model.
 """
 
+import contextlib
 import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _read_rows, predict_labels
+from .data import _check_seed, _read_rows, predict_labels
 from .errors import ConfigurationError, FormatError, InvariantError
 from .fastmath import _F32, MATH_MODES, _const, _round_half_away, activation_deriv
 from .metrics import check_fit
@@ -25,6 +26,7 @@ from .nn import (
     BIAS_CODE_MAX,
     FULL,
     QUANTIZED,
+    _require,
     forward_full,
     forward_int8,
     predict_full,
@@ -66,7 +68,7 @@ class TrainConfig:
 
     Batch semantics are per-sample: every sample triggers an update. With
     shuffle=False (the default) samples are visited in stored order, and a
-    run is fully deterministic under its seed.
+    run is fully deterministic under its seed (checked by ``data._check_seed``).
     """
 
     epochs: int
@@ -77,13 +79,10 @@ class TrainConfig:
     error_feedback: bool = False
 
     def __post_init__(self):
-        # range() and default_rng refuse a float only once the run has started
-        for name in ("epochs", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
+        # range() refuses a float only once the run has started
+        if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 1:
+            raise ConfigurationError(f"epochs must be an integer >= 1, got {self.epochs!r}")
+        _check_seed(self.seed)
         # learning_rate 0 is allowed (a no-op run used by tests); negative,
         # infinite, NaN (which fails every comparison) and above LR_MAX are not
         if not 0 <= self.learning_rate <= LR_MAX:
@@ -91,8 +90,6 @@ class TrainConfig:
                 f"learning_rate must be finite, >= 0 and <= LR_MAX = {LR_MAX:.6g}, "
                 f"got {self.learning_rate}"
             )
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.activation_math not in MATH_MODES:
             raise ConfigurationError(f"unknown activation math {self.activation_math!r}")
 
@@ -186,10 +183,10 @@ def train_full(m, data, cfg):
 
     ``data`` is a (train, validation) Dataset pair. Returns one EpochRecord
     per epoch; train accuracy and loss are measured on the fly from each
-    sample's prediction just before its update.
+    sample's prediction just before its update. ``nn._require`` refuses a
+    quantized model, and TrainConfig checked ``cfg.seed`` by ``data._check_seed``.
     """
-    if m.representation != FULL:
-        raise ConfigurationError("train_full requires a full-precision model")
+    _require(m, FULL, "train_full")
     features = data[0].features
     math_mode, lr = cfg.activation_math, cfg.learning_rate
 
@@ -375,9 +372,10 @@ def finetune_quantized(m, data, cfg):
     errors clip at the fixed-point range boundaries and wreck the learning
     signal) and is allowed only for demonstration. The rule reads the
     parameters alone, so a model loaded from a file is judged like any other.
+    ``nn._require`` refuses a full-precision model, and TrainConfig checked
+    ``cfg.seed`` by ``data._check_seed``.
     """
-    if m.representation != QUANTIZED:
-        raise ConfigurationError("finetune_quantized requires a quantized model")
+    _require(m, QUANTIZED, "finetune_quantized")
     if not any(l.biases_q.any() for l in m.layers):
         warnings.warn(
             "fine-tuning a quantized model from random initialization (every "
@@ -406,25 +404,19 @@ def finetune_quantized(m, data, cfg):
 CURVES_HEADER = ("epoch", "train_acc", "val_acc", "train_loss")
 
 
-def _write_curves(records, fh):
-    writer = csv.writer(fh)
-    writer.writerow(CURVES_HEADER)
-    for r in records:
-        writer.writerow(
-            [r.epoch, f"{r.train_acc:.6f}", f"{r.val_acc:.6f}", f"{r.train_loss:.8f}"]
-        )
-
-
 def write_curves_csv(records, path):
     """Export epoch records as CSV: epoch,train_acc,val_acc,train_loss.
 
-    ``path`` may also be an open text file (e.g. stdout).
+    ``path`` may also be an open text file (e.g. stdout), which is left open.
     """
-    if hasattr(path, "write"):
-        _write_curves(records, path)
-        return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_curves(records, fh)
+    with (contextlib.nullcontext(path) if hasattr(path, "write")
+          else open(path, "w", newline="", encoding="utf-8")) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CURVES_HEADER)
+        for r in records:
+            writer.writerow(
+                [r.epoch, f"{r.train_acc:.6f}", f"{r.val_acc:.6f}", f"{r.train_loss:.8f}"]
+            )
 
 
 def read_curves_csv(path):

@@ -12,6 +12,7 @@ from qmlp.data import (
     synth_cogdist,
 )
 from qmlp.errors import ConfigurationError, DataError, FormatError
+from qmlp.nn import build_model
 from qmlp.train import read_curves_csv
 
 
@@ -191,6 +192,23 @@ class TestSynthCogdist:
         mu0 = X[y == 0].mean(axis=0)
         mu1 = X[y == 1].mean(axis=0)
         assert np.linalg.norm(mu0 - mu1) < 0.5  # means nearly coincide
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda seed: build_model("cogdist", seed),
+        lambda seed: split(synth_cogdist(0), 0.8, seed),
+        synth_cogdist,
+    ],
+    ids=["build_model", "split", "synth_cogdist"],
+)
+def test_bad_seed_refused(draw, seed):
+    # data._check_seed vets every seed before numpy sees it: numpy would
+    # raise ValueError or TypeError, or draw fresh entropy for None
+    with pytest.raises(ConfigurationError, match="^seed must be an integer >= 0"):
+        draw(seed)
 
 
 class TestSplit:

@@ -1,7 +1,7 @@
 """Structure checks: the module layer order, no assert statements, no
-True/False parameter defaults and no unused imports in the package, the
-names the demos import, and the qmlp names README.md and the package
-docstrings cite."""
+True/False parameter defaults, no unused imports and no unread private
+module names in the package, the names the demos import, and the qmlp
+names README.md and the package docstrings cite."""
 
 import ast
 import dataclasses
@@ -86,6 +86,38 @@ def test_every_imported_name_is_read():
                     assert name in read, (
                         f"{path.name}:{node.lineno} imports {name}, which it never reads"
                     )
+
+
+def test_every_private_name_is_read():
+    # a module-level _name is the package's own; once no code in the package
+    # reads it (as a name, an attribute or an import), it is dead
+    paths = sorted(PACKAGE.glob("*.py"))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    read = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    defined = set()
+    for path, tree in zip(paths, trees):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update(
+                f"{path.stem}.{name}" for name in names
+                if name.startswith("_") and not name.startswith("__")
+            )
+    assert len(defined) >= 60
+    unread = sorted(d for d in defined if d.split(".")[1] not in read)
+    assert not unread, f"module-level private names the package never reads: {unread}"
 
 
 def test_demo_imports_exist():

@@ -514,9 +514,20 @@ class TestQuantizeModel:
         assert q.layers[0].biases_q.tolist() == [3, -3, 1, -2]
 
 
-class TestCloneAndDequantizeModel:
+class TestCloneModel:
     def test_clone_full_is_independent(self):
         m = build_model("cogdist", 0)
         c = clone_model(m)
         c.layers[0].weights[0, 0] += 1.0
         assert m.layers[0].weights[0, 0] != c.layers[0].weights[0, 0]
+
+    def test_clone_quantized_owns_its_bias_codes(self):
+        q = quantize_model(build_model("car_evaluation", 0))
+        c = clone_model(q)
+        for ql, cl in zip(q.layers, c.layers):
+            # bias codes are copied; the immutable weight QTensors are shared
+            assert not np.shares_memory(ql.biases_q, cl.biases_q)
+            np.testing.assert_array_equal(ql.biases_q, cl.biases_q)
+            assert cl.weights_q is ql.weights_q
+        c.layers[0].biases_q[0] += 1
+        assert q.layers[0].biases_q[0] != c.layers[0].biases_q[0]

@@ -4,7 +4,17 @@ import pytest
 from qmlp.data import synth_cogdist, split
 from qmlp.errors import ConfigurationError, InvariantError
 from qmlp.model_io import load_model, save_model
-from qmlp.nn import DenseLayer, Model, build_model, clone_model, forward_full, forward_int8, quantize_model
+from qmlp.nn import (
+    DenseLayer,
+    Model,
+    build_model,
+    clone_model,
+    forward_full,
+    forward_int8,
+    predict_full,
+    predict_int8,
+    quantize_model,
+)
 from qmlp.quant import EXPONENT_MIN, quantize
 from qmlp.train import (
     LR_MAX,
@@ -186,6 +196,28 @@ def tiny_splits():
     return cut(train, 200), cut(val, 80)
 
 
+# each entry point, called with a model of the kind it does not take:
+# (full model m, its quantization q, the splits s)
+OTHER_KIND_CALLS = {
+    "forward_full": lambda m, q, s: forward_full(q, np.zeros(6)),
+    "predict_full": lambda m, q, s: predict_full(q, np.zeros((2, 6))),
+    "forward_int8": lambda m, q, s: forward_int8(m, quantize(np.zeros(6), q.layers[0].in_params)),
+    "predict_int8": lambda m, q, s: predict_int8(m, np.zeros((2, 6))),
+    "quantize_model": lambda m, q, s: quantize_model(q),
+    "train_full": lambda m, q, s: train_full(q, s, TrainConfig(epochs=1)),
+    "finetune_quantized": lambda m, q, s: finetune_quantized(m, s, TrainConfig(epochs=1)),
+}
+
+
+@pytest.mark.parametrize("name", OTHER_KIND_CALLS)
+def test_model_of_the_other_kind_refused(name, tiny_splits):
+    # nn._require is the one kind check: every entry point raises the same
+    # error class, and its message names the function that was called
+    m = build_model("cogdist", 0)
+    with pytest.raises(InvariantError, match=f"^{name} requires a "):
+        OTHER_KIND_CALLS[name](m, quantize_model(m), tiny_splits)
+
+
 class TestTrainFull:
     def test_zero_lr_leaves_params(self, tiny_splits):
         m = build_model("cogdist", 1)
@@ -341,7 +373,7 @@ class TestFinetuneQuantized:
 
     def test_representation_checked(self, tiny_splits):
         m = build_model("cogdist", 0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InvariantError):
             finetune_quantized(m, tiny_splits, TrainConfig(epochs=1))
 
     def test_error_feedback_accumulates_small_updates(self):
