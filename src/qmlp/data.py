@@ -33,8 +33,8 @@ CAR_CANONICAL_ROWS = 1728
 
 def _check_seed(seed):
     """The seed rule, checked before a seed reaches a numpy generator: a
-    Python or numpy integer >= 0, else ConfigurationError. Returns the seed."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    Python or numpy integer >= 0, not a bool, else ConfigurationError. Returns the seed."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
     return seed
 

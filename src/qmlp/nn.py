@@ -320,12 +320,17 @@ def _int8_kernel(a, layer):
     Both callers requantize it to the pre-activation scale.
 
     A single row, [in] or [1 x in], goes through ``dot``, whose set-up
-    costs less (0.9 us against 1.5 us for ``@`` on car's 16 x 32 layer);
-    a larger batch goes through ``@``, 6% faster on 1024 rows. Any
-    summation order gives the same bits, as above.
+    costs less (0.9 us against 1.5 us for ``@`` on car's 16 x 32 layer),
+    and adds the bias codes fresh: in place costs more on one element (the
+    cogdist output row). A larger batch goes through ``@``, 6% faster on
+    1024 rows, and adds them in place. Any order gives the same bits.
     """
     w = _float_codes(layer.weights_q).T
-    return (a.dot(w) if a.ndim == 1 or len(a) == 1 else a @ w) + layer.biases_q
+    if a.ndim == 1 or len(a) == 1:
+        return a.dot(w) + layer.biases_q
+    acc = a @ w
+    acc += layer.biases_q
+    return acc
 
 
 def linear_int8(x_q, layer):

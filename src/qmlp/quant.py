@@ -51,7 +51,6 @@ _POW2 = {
     for dt in (_F32, _F64)
 }
 
-_FUSED_LO, _FUSED_HI = _const(-256, np.float64), _const(255, np.float64)
 _FUSED_OFFSET = _const(256, np.intp)
 # the identity LUT's fused table, the codes requantize_shift returns (see _fused_index)
 _FUSED_CODES = _round_half_away(np.arange(-256, 256) / 2, *_CODE_BOUNDS[_F64], np.int8)
@@ -222,66 +221,62 @@ def dequantize(t):
 
 
 def _fused_index(acc, shift, out=None):
-    """k = trunc(clip(acc * 2**(shift + 1), -256, 255)) + 256 as intp, for
-    integer accumulators |acc| < 2**31: the requantize index of rows and
-    batches. ``_FUSED_CODES[k]`` is clamp(round_half_away(z), -128, 127),
-    with z = acc * 2**shift and y = 2z exact in float64 for every shift in
-    [-31, 31] (not checked here):
+    """k = trunc(acc * 2**(shift + 1)) + 256 as intp, for integer
+    accumulators |acc| < 2**31: the requantize index of rows and batches,
+    which every reader gathers with ``take(k, mode="clip")``. With
+    z = acc * 2**shift and y = 2z, exact in float64 for every shift in
+    [-31, 31] (not checked here), ``_FUSED_CODES[clamp(k, 0, 511)]`` is
+    clamp(round_half_away(z), -128, 127):
 
+    - The intp cast is defined and truncates, as |y| < 2**31 * 2**32.
+    - clamp(trunc(y) + 256, 0, 511) = trunc(clip(y, -256, 255)) + 256, as
+      trunc is monotone and the bounds are integers. The clip changes no
+      code: y = -256 and y = 255 already round to -128 and 128, at or past
+      the code bounds, and rounding is monotone too.
     - round_half_away(z) = round_half_away(trunc(y) / 2), because the
       rounded magnitude floor(|z| + 1/2) = floor((|y| + 1) / 2) depends on
       |y| only through floor(|y|) = |trunc(y)|.
-    - Clamping y to [-256, 255] before the truncation changes no result:
-      trunc and round_half_away are monotone, and y = -256 and y = 255
-      already round to -128 and 128, at or past the code bounds, so every
-      y beyond either bound clamps to the same code as the bound itself.
 
-    The intp cast truncates; the offset keeps the indices non-negative.
-    ``take`` reads intp indices as they are and casts any other index
-    array first: int16 indices made the gather 5.8 times as slow on 32k
-    indices (140 us against 24 us) and twice as slow on 32 (0.50 against
-    0.26 us), for an index cast that costs 5 us more on 32k.
+    The offset moves the in-range indices to [0, 511], which the clip mode
+    leaves as they are. ``take`` reads intp indices as they are and casts
+    any other index array first: int16 indices made the gather 5.8 times
+    as slow on 32k indices (140 us against 24 us) and twice as slow on 32
+    (0.50 against 0.26 us).
 
-    ``out`` (float64, acc's shape; acc itself, say) takes every step in
-    place. Without it every step is fresh: numpy pays about 0.3 us when a
-    one-element output aliases its input.
+    ``out`` (float64, acc's shape; acc itself, say) takes the multiply in
+    place, and the offset is then added in place on the fresh index; without
+    it both are fresh: numpy pays 0.3 us when a one-element output aliases.
     """
-    y = np.multiply(acc, _POW2[_F64][shift + 1], out=out)
-    k = y.clip(_FUSED_LO, _FUSED_HI, out=out).astype(np.intp)
-    if out is None:
-        return k + _FUSED_OFFSET
-    k += _FUSED_OFFSET
-    return k
+    k = np.multiply(acc, _POW2[_F64][shift + 1], out=out).astype(np.intp)
+    return k + _FUSED_OFFSET if out is None else np.add(k, _FUSED_OFFSET, out=k)
 
 
 def requantize_shift(acc, shift):
     """Rescale a 32-bit accumulator to an 8-bit code by a power-of-two shift.
 
-    Returns clamp(round_half_away(acc * 2**shift), -128, 127) from the
-    identity LUT's fused table (see ``_fused_index``), without writing acc:
+    Returns clamp(round_half_away(acc * 2**shift), -128, 127) for |acc| < 2**31
+    (unspecified beyond), one gather of the identity LUT's fused table whose
+    index clamp is the code clamp (see ``_fused_index``), without writing acc:
     an int for an int, a fresh int8 array for an integer or float64 array.
     """
     shift = int(shift)
     if not -SHIFT_MAX <= shift <= SHIFT_MAX:
         raise InvariantError(f"requantize shift {shift} outside [-{SHIFT_MAX}, {SHIFT_MAX}]")
-    codes = _FUSED_CODES.take(_fused_index(acc, shift))
+    codes = _FUSED_CODES.take(_fused_index(acc, shift), mode="clip")
     return int(codes) if codes.ndim == 0 else codes
 
 
 def _requantize_lut(acc, shift, table):
     """lut.table[requantize_shift(acc, shift) + 128], as one gather of
-    ``table`` at ``_fused_index``'s k: the caller names one of the LUT's
-    fused tables, ``ActivationLUT.fused`` for float64 codes or
-    ``ActivationLUT.fused_values`` for their float32 output values.
-    The index is computed in place on ``acc``, a float64 array the caller
-    owns. A one-element ``acc`` (a single row of a one-neuron layer) takes
-    the fresh steps instead, which cost less there. The shift is not
-    checked; ``QDenseLayer`` proves it lies in [-31, 31] when built.
-
-    The +256 offset of the index stays: ``take`` with negative indices
-    ran 170 us against 24 us with the offset ones on 32k indices.
+    ``table`` at ``_fused_index``'s k, whose index clamp is the code clamp:
+    the caller names one of the LUT's fused tables, ``ActivationLUT.fused``
+    for float64 codes or ``ActivationLUT.fused_values`` for their float32
+    output values. The multiply runs in place on ``acc``, a float64 array
+    the caller owns. A one-element ``acc`` (a single row of a one-neuron
+    layer) takes the fresh steps instead, which cost less there. The shift
+    is not checked; ``QDenseLayer`` proves it lies in [-31, 31] when built.
     """
-    return table.take(_fused_index(acc, shift, acc if acc.size > 1 else None))
+    return table.take(_fused_index(acc, shift, acc if acc.size > 1 else None), mode="clip")
 
 
 def build_lut(activation, in_params, out_params):

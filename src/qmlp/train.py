@@ -62,7 +62,7 @@ class SaturationWarning(UserWarning):
     """Quantized training started from untrained parameters (every bias zero)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for a training run.
 
@@ -79,8 +79,8 @@ class TrainConfig:
     error_feedback: bool = False
 
     def __post_init__(self):
-        # range() refuses a float only once the run has started
-        if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 1:
+        # range() refuses a float only once the run has started; True is an int, False < 1
+        if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 1 or self.epochs is True:
             raise ConfigurationError(f"epochs must be an integer >= 1, got {self.epochs!r}")
         _check_seed(self.seed)
         # learning_rate 0 is allowed (a no-op run used by tests); negative,

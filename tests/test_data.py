@@ -194,7 +194,7 @@ class TestSynthCogdist:
         assert np.linalg.norm(mu0 - mu1) < 0.5  # means nearly coincide
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
 @pytest.mark.parametrize(
     "draw",
     [
@@ -206,7 +206,8 @@ class TestSynthCogdist:
 )
 def test_bad_seed_refused(draw, seed):
     # data._check_seed vets every seed before numpy sees it: numpy would
-    # raise ValueError or TypeError, or draw fresh entropy for None
+    # raise ValueError or TypeError, draw fresh entropy for None, or take a
+    # bool as the seed 0 or 1
     with pytest.raises(ConfigurationError, match="^seed must be an integer >= 0"):
         draw(seed)
 

@@ -9,6 +9,7 @@ from qmlp.errors import ConfigurationError, DataError, InvariantError
 from qmlp.nn import (
     BIAS_CODE_MAX,
     DIM_MAX,
+    _int8_kernel,
     build_model,
     clone_model,
     forward_full,
@@ -21,7 +22,7 @@ from qmlp.nn import (
     Model,
     QDenseLayer,
 )
-from qmlp.quant import ActivationLUT, QTensor, QuantParams, dequantize, quantize
+from qmlp.quant import ActivationLUT, QTensor, QuantParams, _float_codes, dequantize, quantize
 
 
 def round_half_away(x):
@@ -291,6 +292,25 @@ class TestLinearInt8:
         layer = make_qlayer([[1]], [0], in_e=-7)
         with pytest.raises(InvariantError):
             linear_int8(QTensor(np.zeros(1, dtype=np.int8), QuantParams(-6)), layer)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 1024])
+def test_int8_kernel_returns_a_fresh_accumulator(rows):
+    # a batch adds its bias codes in place on the product it has just made;
+    # that add must write no array the caller or the layer holds
+    m = quantize_model(build_model("car_evaluation", 3))
+    rng = np.random.default_rng(rows)
+    for layer in m.layers:
+        a = rng.integers(-128, 128, (rows, layer.in_dim)).astype(np.float64)
+        w, b = _float_codes(layer.weights_q), layer.biases_q
+        before = [x.copy() for x in (a, w, b)]
+        acc = _int8_kernel(a, layer)
+        assert acc.dtype == np.float64 and acc.shape == (rows, layer.out_dim)
+        assert not any(np.shares_memory(acc, x) for x in (a, w, b))
+        for x, was in zip((a, w, b), before):
+            np.testing.assert_array_equal(x, was)
+        want = a.astype(np.int64) @ layer.weights_q.codes.T.astype(np.int64) + b
+        np.testing.assert_array_equal(acc, want)
 
 
 class TestBiasCodeBound:

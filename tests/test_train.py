@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,11 +63,22 @@ class TestConfig:
          # range() and default_rng would refuse a float count only once the
          # run had started, and a string count fails the comparisons below
          dict(epochs=1.5), dict(epochs=2.0), dict(epochs="3"),
-         dict(epochs=1, seed=1.5), dict(epochs=1, seed=2.0)],
+         dict(epochs=1, seed=1.5), dict(epochs=1, seed=2.0),
+         # bool is a subclass of int, but True is not an epoch count
+         dict(epochs=True), dict(epochs=1, seed=False), dict(epochs=1, seed=True)],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [("seed", -1), ("epochs", 1.5)])
+    def test_fields_cannot_be_assigned(self, name, value):
+        # the fields are checked once, when the config is made; an assigned
+        # seed or epoch count would reach numpy or range() unchecked
+        cfg = TrainConfig(epochs=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+        assert (cfg.epochs, cfg.seed) == (1, 0)
 
     @pytest.mark.parametrize("name", ["epochs", "seed"])
     def test_non_integer_count_is_named(self, name):
