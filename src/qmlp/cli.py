@@ -297,7 +297,8 @@ def build_parser():
     p.add_argument("model")
     _add_common(p)
     p.add_argument("--on", choices=("train", "val", "all"), default="val")
-    p.add_argument("--activation-math", choices=MATH_MODES, default="reference")
+    p.add_argument("--activation-math", choices=MATH_MODES, default="reference",
+                   help="full-precision models only; an int8 model uses its LUTs")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
 

@@ -9,6 +9,7 @@ rescale. Datasets are immutable after load.
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from itertools import product
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, FormatError
+from .errors import ConfigurationError, DataError, FormatError, _integer
 
 # Category orders for the car-acceptability schema, lowest to highest.
 CAR_ATTRIBUTES = (
@@ -32,11 +33,8 @@ CAR_CANONICAL_ROWS = 1728
 
 
 def _check_seed(seed):
-    """The seed rule, checked before a seed reaches a numpy generator: a
-    Python or numpy integer >= 0, not a bool, else ConfigurationError. Returns the seed."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
-    return seed
+    """The seed rule for every numpy generator: an integer >= 0 (``errors._integer``)."""
+    return _integer(seed, 0, None, "seed", ConfigurationError)
 
 
 def predict_labels(outputs):
@@ -276,8 +274,8 @@ def split(ds, train_fraction=0.8, seed=0):
     they are computed here from the training rows only and applied to both
     splits (validation values outside the training range clip).
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigurationError(f"train fraction {train_fraction} outside (0, 1)")
+    if not isinstance(train_fraction, numbers.Real) or not 0.0 < train_fraction < 1.0:
+        raise ConfigurationError(f"train_fraction must be in (0, 1), got {train_fraction!r}")
     if ds.n < 2:
         raise ConfigurationError("cannot split fewer than 2 samples")
     rng = np.random.default_rng(_check_seed(seed))

@@ -5,6 +5,8 @@ CLI maps it to. Library code raises these directly; the CLI formats them as
 ``error[<category>]: <message>`` on stderr.
 """
 
+import numpy as np
+
 
 class QmlpError(Exception):
     category = "error"
@@ -43,3 +45,13 @@ class InvariantError(QmlpError):
 
     category = "invariant"
     exit_code = 4
+
+
+def _integer(value, lo, hi, what, error):
+    """The integer rule: an exact int (so not a bool) or a numpy integer in [lo, hi] (``hi``
+    None: unbounded), as an int; else ``error`` names ``what``. Type tests: ABCs cost 4x."""
+    integer = type(value) is int or isinstance(value, np.integer)
+    if integer and lo <= value and (hi is None or value <= hi):
+        return int(value)
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise error(f"{what} must be an integer {bound}, got {value!r}")

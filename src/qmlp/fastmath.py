@@ -7,7 +7,7 @@ concurrently.
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer
 
 
 def _const(value, dtype):
@@ -109,11 +109,9 @@ def fast_round(x):
 
 
 def fast_power_of_two(k):
-    """2**k via left shift. k must be an integer in [0, 62]."""
-    k = int(k)
-    if not 0 <= k <= 62:
-        raise ValueError(f"fast_power_of_two exponent {k} outside [0, 62]")
-    return 1 << k
+    """2**k via left shift. k must be an integer in [0, 62] (``errors._integer``),
+    else ValueError."""
+    return 1 << _integer(k, 0, 62, "fast_power_of_two exponent", ValueError)
 
 
 def _exp_bits(bits):

@@ -66,7 +66,8 @@ def check_fit(m, *splits):
 
 
 def evaluate(m, ds, math_mode="reference"):
-    """Run the model over a dataset split and score the predictions."""
+    """Run the model over a dataset split and score the predictions; ``math_mode``
+    applies to a full-precision model only, as an int8 model reads its LUTs."""
     check_fit(m, ds)
     if m.representation == FULL:
         outputs = predict_full(m, ds.features, math_mode)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import _check_seed
-from .errors import ConfigurationError, DataError, InvariantError
+from .errors import ConfigurationError, DataError, InvariantError, _integer
 from .fastmath import ACTIVATION_NAMES, _round_half_away, activation_fn
 from .quant import (
     DEFAULT_ACTIVATION_EXPONENT,
@@ -28,6 +28,7 @@ from .quant import (
     _float_codes,
     _from_codes,
     _requantize_lut,
+    _whole,
     apply_lut,
     build_lut,
     choose_exponent,
@@ -97,13 +98,13 @@ class QDenseLayer:
     """Quantized dense layer.
 
     Bias codes are 32-bit integers at exponent (in + weight), so they add
-    directly into the int32 accumulator without any per-sample shift. Their
-    magnitude is bounded by ``BIAS_CODE_MAX`` when the layer is built,
-    which proves the kernel's accumulator never leaves int32; the kernel
-    itself does not check it again. Code that assigns new bias codes
-    afterwards (the hybrid trainer) clamps them to the same bound. The
-    requantize shift, in + weight - pre-activation exponent, is proven to
-    lie in [-31, 31] when the layer is built, too.
+    directly into the int32 accumulator without any per-sample shift. When
+    the layer is built they must be whole numbers (``quant._whole``) of
+    magnitude at most ``BIAS_CODE_MAX``, which proves the kernel's
+    accumulator never leaves int32, and are copied to writable int32. Code
+    that assigns new bias codes afterwards (the hybrid trainer) clamps them
+    to the same bound. The requantize shift, in + weight - pre-activation
+    exponent, is proven to lie in [-31, 31] when the layer is built, too.
 
     The pre-activation and activation scales are the LUT's input and output
     scales; ``preact_params`` and ``act_params`` are read from ``lut`` once,
@@ -121,22 +122,17 @@ class QDenseLayer:
     def __post_init__(self):
         biases = np.asarray(self.biases_q)
         _check_layer_shape(self.weights_q.codes, biases)
-        # min/max rather than abs: abs(int32 min) wraps to itself
-        if biases.min() < -BIAS_CODE_MAX or biases.max() > BIAS_CODE_MAX:
+        if not _whole(biases, -BIAS_CODE_MAX, BIAS_CODE_MAX):
             raise InvariantError(
                 f"bias code outside +-{BIAS_CODE_MAX}, the bound that keeps the "
-                f"int32 accumulator from overflowing"
+                f"int32 accumulator from overflowing, or not a whole number"
             )
         self.biases_q = biases.astype(np.int32)
         self.preact_params = self.lut.in_params
         self.act_params = self.lut.out_params
-        shift = self.requantize_shift_amount
-        if not -SHIFT_MAX <= shift <= SHIFT_MAX:
-            raise InvariantError(
-                f"requantize shift {shift} (input e={self.in_params.exponent} + weight "
-                f"e={self.weights_q.params.exponent} - pre-activation "
-                f"e={self.preact_params.exponent}) outside [-{SHIFT_MAX}, {SHIFT_MAX}]"
-            )
+        e = (self.in_params.exponent, self.weights_q.params.exponent, self.preact_params.exponent)
+        what = "requantize shift (input e={} + weight e={} - pre-activation e={})".format(*e)
+        _integer(self.requantize_shift_amount, -SHIFT_MAX, SHIFT_MAX, what, InvariantError)
 
     @property
     def activation(self):
@@ -211,19 +207,20 @@ def _resolve_arch(spec):
                 f"{sorted(ARCHITECTURES)} or an explicit (input_dim, layers) pair"
             ) from None
     input_dim, layer_specs = spec
-    return int(input_dim), [(int(n), act) for n, act in layer_specs]
+    width = lambda n: _integer(n, 1, None, "layer width", ConfigurationError)
+    return width(input_dim), [(width(n), act) for n, act in layer_specs]
 
 
 def build_model(spec, seed):
     """Build a full-precision model from an architecture id or explicit spec.
 
     ``spec`` is 'cogdist', 'car_evaluation', or (input_dim, [(out_dim,
-    activation), ...]). Weights are Glorot-uniform in +-sqrt(6/(in+out)),
-    biases zero; bit-identical for a given seed.
+    activation), ...]), widths integers >= 1 (``errors._integer``). Weights
+    are Glorot-uniform in +-sqrt(6/(in+out)), biases zero; bit-identical for a given seed.
     """
     input_dim, layer_specs = _resolve_arch(spec)
-    if input_dim <= 0 or not layer_specs or any(n <= 0 for n, _ in layer_specs):
-        raise ConfigurationError("a model needs one or more layers, with positive dimensions")
+    if not layer_specs:
+        raise ConfigurationError("a model needs one or more layers")
     rng = np.random.default_rng(_check_seed(seed))
     layers = []
     fan_in = input_dim

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, InvariantError
+from .errors import ConfigurationError, DataError, InvariantError, _integer
 from .fastmath import _F32, _F64, ACTIVATION_NAMES, _const, _round_half_away, activation_fn
 
 EXPONENT_MIN = -24
@@ -61,16 +61,14 @@ _TOP_BIT = _const(128, np.uint8)
 
 @dataclass(frozen=True)
 class QuantParams:
-    """Per-tensor quantization descriptor: value = code * 2**exponent."""
+    """Per-tensor quantization descriptor: value = code * 2**exponent, for an
+    ``exponent`` in [-24, 8] (``errors._integer``), stored as an int."""
 
     exponent: int
 
     def __post_init__(self):
-        if not EXPONENT_MIN <= self.exponent <= EXPONENT_MAX:
-            raise ConfigurationError(
-                f"quantization exponent {self.exponent} outside "
-                f"[{EXPONENT_MIN}, {EXPONENT_MAX}]"
-            )
+        object.__setattr__(self, "exponent", _integer(
+            self.exponent, EXPONENT_MIN, EXPONENT_MAX, "quantization exponent", ConfigurationError))
 
     @property
     def step(self):
@@ -78,13 +76,15 @@ class QuantParams:
         return 2.0 ** self.exponent
 
 
+def _whole(values, lo, hi):
+    """The code-buffer rule: all ``values`` whole numbers (not NaN) in [lo, hi], as casts keep."""
+    return bool(((np.trunc(values) == values) & (values >= lo) & (values <= hi)).all())
+
+
 def _int8_codes(values):
-    """A read-only int8 copy of ``values``, which must be whole numbers in
-    [-128, 127]: the cast would round or wrap anything else."""
+    """A read-only int8 copy of ``values``, which must pass ``_whole`` in [-128, 127]."""
     codes = np.asarray(values)
-    if codes.dtype != np.int8 and codes.size and not (
-        np.all(np.trunc(codes) == codes) and CODE_MIN <= codes.min() and codes.max() <= CODE_MAX
-    ):
+    if codes.dtype != np.int8 and not _whole(codes, CODE_MIN, CODE_MAX):
         raise InvariantError(f"codes must be whole numbers in [{CODE_MIN}, {CODE_MAX}]")
     codes = codes.astype(np.int8)
     codes.setflags(write=False)
@@ -258,10 +258,9 @@ def requantize_shift(acc, shift):
     (unspecified beyond), one gather of the identity LUT's fused table whose
     index clamp is the code clamp (see ``_fused_index``), without writing acc:
     an int for an int, a fresh int8 array for an integer or float64 array.
+    ``shift`` must be an integer in [-31, 31] (``errors._integer``), else InvariantError.
     """
-    shift = int(shift)
-    if not -SHIFT_MAX <= shift <= SHIFT_MAX:
-        raise InvariantError(f"requantize shift {shift} outside [-{SHIFT_MAX}, {SHIFT_MAX}]")
+    shift = _integer(shift, -SHIFT_MAX, SHIFT_MAX, "requantize shift", InvariantError)
     codes = _FUSED_CODES.take(_fused_index(acc, shift), mode="clip")
     return int(codes) if codes.ndim == 0 else codes
 

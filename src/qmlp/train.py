@@ -13,13 +13,14 @@ reads the model.
 
 import contextlib
 import csv
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import _check_seed, _read_rows, predict_labels
-from .errors import ConfigurationError, FormatError, InvariantError
+from .errors import ConfigurationError, FormatError, InvariantError, _integer
 from .fastmath import _F32, MATH_MODES, _const, _round_half_away, activation_deriv
 from .metrics import check_fit
 from .nn import (
@@ -79,17 +80,14 @@ class TrainConfig:
     error_feedback: bool = False
 
     def __post_init__(self):
-        # range() refuses a float only once the run has started; True is an int, False < 1
-        if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 1 or self.epochs is True:
-            raise ConfigurationError(f"epochs must be an integer >= 1, got {self.epochs!r}")
+        _integer(self.epochs, 1, None, "epochs", ConfigurationError)
         _check_seed(self.seed)
-        # learning_rate 0 is allowed (a no-op run used by tests); negative,
-        # infinite, NaN (which fails every comparison) and above LR_MAX are not
-        if not 0 <= self.learning_rate <= LR_MAX:
-            raise ConfigurationError(
-                f"learning_rate must be finite, >= 0 and <= LR_MAX = {LR_MAX:.6g}, "
-                f"got {self.learning_rate}"
-            )
+        # learning_rate 0 is allowed (a no-op run used by tests); a bool, a non-number,
+        # negative, infinite, NaN (which fails every comparison) and above LR_MAX are not
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 <= lr <= LR_MAX:
+            raise ConfigurationError(f"learning_rate must be finite, >= 0 and <= LR_MAX = "
+                                     f"{LR_MAX:.6g}, got {lr!r}")
         if self.activation_math not in MATH_MODES:
             raise ConfigurationError(f"unknown activation math {self.activation_math!r}")
 

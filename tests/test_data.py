@@ -212,6 +212,31 @@ def test_bad_seed_refused(draw, seed):
         draw(seed)
 
 
+def _two_classes(n_per_class):
+    targets = np.repeat(np.eye(2, dtype=np.float32), n_per_class, axis=0)
+    return Dataset(np.zeros((len(targets), 2)), targets, ("a", "b"), -np.ones(2), np.ones(2))
+
+
+# refusals of a bad dataset or split, each naming its fault; a train
+# fraction that is not a number would fail the comparison with a bare TypeError
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: Dataset(np.zeros((3, 2)), np.zeros((2, 1)), ("a",)), DataError,
+     "features and targets disagree on sample count"),
+    (lambda: split(Dataset(np.zeros((1, 2)), np.ones((1, 1)), ("a",)), 0.8, 0),
+     ConfigurationError, "cannot split fewer than 2 samples"),
+    (lambda: split(_two_classes(2), 0.4, 0), ConfigurationError,
+     r"train fraction 0.4 empties one side of class 0 \(2 samples\)"),
+    (lambda: split(_two_classes(2), "0.8", 0), ConfigurationError,
+     r"^train_fraction must be in \(0, 1\), got '0.8'$"),
+    (lambda: split(_two_classes(2), None, 0), ConfigurationError,
+     r"^train_fraction must be in \(0, 1\), got None$"),
+], ids=["dataset-length-mismatch", "split-one-sample", "split-empties-a-class",
+        "split-fraction-string", "split-fraction-none"])
+def test_refusal_names_the_fault(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestSplit:
     def _dataset_with_counts(self, counts):
         n = sum(counts)

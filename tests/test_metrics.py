@@ -46,6 +46,10 @@ class TestMetricsFromConfusion:
         assert met.accuracy == np.trace(cm) / 300
         assert cm.sum() == 300
 
+    def test_zero_samples_refused(self):
+        with pytest.raises(ConfigurationError, match="cannot compute metrics over zero samples"):
+            metrics_from_confusion(np.zeros((2, 2), dtype=np.int64))
+
     def test_zero_denominator_convention(self):
         # a class never predicted gets precision 0, not NaN
         cm = np.array([[3, 0], [2, 0]])

@@ -118,6 +118,21 @@ class TestFormatErrors:
         with pytest.raises(FormatError):
             load_model(path)
 
+    # magic (4 bytes), format version (u16), representation (u8), layer count (u16)
+    @pytest.mark.parametrize("offset, value, match", [
+        (6, b"\x02", "unknown representation byte 2"),
+        (7, b"\x00\x00", "model file declares zero layers"),
+    ], ids=["representation", "layer-count"])
+    def test_bad_header_field_names_its_byte(self, full_model, tmp_path, offset, value, match):
+        path = tmp_path / "m.bin"
+        save_model(full_model, path)
+        data = bytearray(path.read_bytes())
+        data[offset : offset + len(value)] = value
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=match) as ei:
+            load_model(path)
+        assert ei.value.offset == offset
+
     def test_bad_activation_byte(self, full_model, tmp_path):
         path = tmp_path / "m.bin"
         save_model(full_model, path)

@@ -22,7 +22,9 @@ from qmlp.nn import (
     Model,
     QDenseLayer,
 )
-from qmlp.quant import ActivationLUT, QTensor, QuantParams, _float_codes, dequantize, quantize
+from qmlp.quant import (
+    ActivationLUT, QTensor, QuantParams, _float_codes, build_lut, dequantize, quantize,
+)
 
 
 def round_half_away(x):
@@ -313,6 +315,28 @@ def test_int8_kernel_returns_a_fresh_accumulator(rows):
         np.testing.assert_array_equal(acc, want)
 
 
+# refusals of bad layers and inputs, each naming its fault
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: DenseLayer(np.zeros(2), np.zeros(2), "tanh"), InvariantError,
+     r"weights must be \[out x in\], biases \[out\]"),
+    (lambda: make_qlayer(np.zeros((2, 3)), np.zeros(3)), InvariantError,
+     "weight rows and bias length differ"),
+    (lambda: DenseLayer(np.zeros((2, 3)), np.zeros(2), "relu"), ConfigurationError,
+     "unknown activation 'relu'"),
+    (lambda: DenseLayer(np.zeros((2, 3)), [0.0, np.inf], "tanh"), InvariantError,
+     "layer parameters must be finite"),
+    (lambda: predict_full(build_model("car_evaluation", 0), np.zeros((2, 5))), InvariantError,
+     r"predict_full: batch shape \(2, 5\) does not match input_dim 6"),
+    (lambda: linear_int8(quantize(np.zeros(5), QuantParams(-7)),
+                         make_qlayer(np.zeros((2, 6)), [0, 0])),
+     InvariantError, "kernel input length does not match layer in_dim"),
+], ids=["not-a-matrix", "bias-length", "unknown-activation", "non-finite",
+        "batch-width", "kernel-input-length"])
+def test_refusal_names_the_fault(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestBiasCodeBound:
     def test_limit_leaves_room_for_every_product(self):
         # float32 holds every integer up to the bound, and not the one past it
@@ -336,6 +360,15 @@ class TestBiasCodeBound:
         # abs(int32 min) wraps to itself, so the check must not use abs
         with pytest.raises(InvariantError):
             make_qlayer(np.zeros((1, 2)), [-(2**31)])
+
+    # the code-buffer rule (quant._whole): the int32 cast would keep 0 for 0.5
+    # and turn NaN into -2**31, past the bound, with only a RuntimeWarning
+    @pytest.mark.parametrize("code", [0.5, -0.5, BIAS_CODE_MAX - 0.5, np.nan])
+    def test_non_whole_code_refused(self, code):
+        lut = build_lut("tanh", QuantParams(-7), QuantParams(-7))
+        w_q = QTensor(np.zeros((2, 1), dtype=np.int8), QuantParams(-7))
+        with pytest.raises(InvariantError, match="bias code outside"):
+            QDenseLayer(w_q, np.array([0.0, code]), QuantParams(-7), lut)
 
     def test_quantize_model_refuses_unrepresentable_bias(self):
         m = build_model((2, [(1, "sigmoid")]), 0)

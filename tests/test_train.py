@@ -65,7 +65,10 @@ class TestConfig:
          dict(epochs=1.5), dict(epochs=2.0), dict(epochs="3"),
          dict(epochs=1, seed=1.5), dict(epochs=1, seed=2.0),
          # bool is a subclass of int, but True is not an epoch count
-         dict(epochs=True), dict(epochs=1, seed=False), dict(epochs=1, seed=True)],
+         dict(epochs=True), dict(epochs=1, seed=False), dict(epochs=1, seed=True),
+         # True would run at rate 1.0, and a string or None fail with a bare TypeError
+         dict(epochs=1, learning_rate=True), dict(epochs=1, learning_rate="0.1"),
+         dict(epochs=1, learning_rate=None)],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -431,6 +434,19 @@ class TestCurvesCsv:
 
         p = tmp_path / "c.csv"
         p.write_text("epoch,train_acc,val_acc,train_loss\n" + body)
+        with pytest.raises(FormatError, match=match):
+            read_curves_csv(p)
+
+    @pytest.mark.parametrize("text, match", [
+        ("0,0.5,0.5,0.1\n", "missing curves header epoch,train_acc,val_acc,train_loss"),
+        ("epoch,train_acc,val_acc,train_loss\n0,0.5,0.5,0.1\n1,x,0.5,0.1\n",
+         "row 3 is not numeric"),
+    ], ids=["no-header", "non-numeric-row"])
+    def test_malformed_file_names_the_fault(self, tmp_path, text, match):
+        from qmlp.errors import FormatError
+
+        p = tmp_path / "c.csv"
+        p.write_text(text)
         with pytest.raises(FormatError, match=match):
             read_curves_csv(p)
 
